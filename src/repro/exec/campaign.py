@@ -739,12 +739,7 @@ class StudyCampaign:
             )
             # One stage-build tally per fused pass, however many cells it fed.
             self.cache.note_build("inference")
-            if outcomes and outcomes[0].engine_stats.batches_processed:
-                # Columnar dispatch accounting: how many ElemBatch units the
-                # pass pushed through its lead engine (0 on the elem path).
-                self.cache.build_counts["elem_batches"] += outcomes[
-                    0
-                ].engine_stats.batches_processed
+            self.cache.note_dispatch(outcomes)
             shared_stats = outcomes[0].usage_stats if outcomes else None
             if shared_stats is not None:
                 lead.publish("usage_stats", {"usage_stats": shared_stats})

@@ -67,6 +67,23 @@ class ArtifactCache:
     def note_build(self, stage_name: str) -> None:
         self.build_counts[stage_name] += 1
 
+    def note_dispatch(self, outcomes) -> None:
+        """Tally one inference pass's columnar dispatch work.
+
+        ``elem_batches`` gains the ``ElemBatch`` units the pass pushed
+        through its lead engine and ``rows_materialised`` the
+        ``StreamElem`` rows its engines built from lazy-row batches.  Rows
+        are cached on the batch every engine of a fused pass shares, so
+        the sum over the outcomes counts distinct rows.  Per-elem passes
+        (no batches) tally nothing.
+        """
+        if not outcomes or not outcomes[0].engine_stats.batches_processed:
+            return
+        self.build_counts["elem_batches"] += outcomes[0].engine_stats.batches_processed
+        self.build_counts["rows_materialised"] += sum(
+            outcome.engine_stats.rows_materialised for outcome in outcomes
+        )
+
     def __len__(self) -> int:
         return len(self.backend)
 

@@ -6,19 +6,25 @@ state on ``(collector, peer, prefix, provider)`` and the grouping layer on
 ``(prefix[, provider])``, so no state ever crosses a prefix boundary and the
 union of the shard results equals the serial result.
 
-Three execution backends share the same sharding function:
+There is one pass: a single stream iteration drives one
+:class:`~repro.core.inference.BlackholingInferenceEngine` per
+:class:`InferenceRequest` (per shard), optionally counting community usage
+statistics on the way.  It has two layouts:
 
-* ``serial`` (``workers=1``) -- one engine consumes the stream exactly like
-  the pre-refactor pipeline; results are bit-identical to it.
-* ``inline`` -- one pass over the stream demultiplexes elems to ``workers``
-  per-shard engines in-process.  This is the streaming core on a single
-  core: combined with fused usage-statistics collection it replaces the old
-  two-pass batch pipeline with one incremental pass.
-* ``process`` -- each shard runs in a forked worker process over its own
-  filtered view of the stream (non-shard messages are skipped *before* elem
-  construction), and the per-shard observations, stats and grouping
-  accumulators are merged deterministically in the parent.
+* **in-process** -- one pass over the stream demultiplexes elems (or
+  columnar batches) to the per-shard engines.  With ``workers=1`` (the
+  ``serial`` backend) every engine sees every elem and results are
+  bit-identical to the pre-refactor pipeline; with more shards (the
+  ``inline`` backend) the per-shard results are merged deterministically.
+* **forked** (the ``process`` backend) -- each shard runs in a forked
+  worker process over its own filtered view of the stream (non-shard
+  messages are skipped *before* elem construction), and the per-shard
+  observations, stats and grouping accumulators are merged
+  deterministically in the parent.
 
+Three public methods wrap the pass: :meth:`ExecutionPlan.run_inference_many`
+is the pass itself, :meth:`ExecutionPlan.run_inference` is the pass with one
+request and :meth:`ExecutionPlan.run_usage_stats` the pass with none.
 ``backend="auto"`` picks ``process`` when fork and more than one CPU are
 available, otherwise ``inline``.
 """
@@ -118,7 +124,7 @@ def _split_batch(
         return []
     for key in set(keys).difference(memo):
         memo[key] = shard_of_key(key, workers)
-    if workers > 255:  # pragma: no cover - shard ids exceed one byte
+    if workers > 255:  # shard ids exceed one byte
         buckets: dict[int, list[int]] = {}
         for index, key in enumerate(keys):
             buckets.setdefault(memo[key], []).append(index)
@@ -228,163 +234,66 @@ class InferenceRequest:
 
 
 # --------------------------------------------------------------------------- #
-# Fork-based worker plumbing.  The parent deposits the job description in a
-# module global right before creating the fork pool; children inherit it via
-# copy-on-write, so neither the stream nor the dictionary is ever pickled.
+# Fork-based worker plumbing.  The parent deposits the job -- the plan itself,
+# the stream and the pass arguments -- in a module global right before
+# creating the fork pool; children inherit it via copy-on-write, so neither
+# the stream nor the dictionaries are ever pickled.
 # --------------------------------------------------------------------------- #
-_FORK_JOB: dict | None = None
+_FORK_JOB: tuple | None = None
 
 
-def _job_sink(job: dict, label: str) -> SpillingObservationSink | None:
-    """A worker-side spill sink when the job's plan configured spilling."""
-    if job.get("spill_dir") is None:
-        return None
-    return SpillingObservationSink(
-        job["spill_dir"], job["max_resident"], label=label
+def _shard_worker(shard: int) -> tuple:
+    """One shard of the forked layout: one engine per request over the
+    shard's slice of the stream, filtered at the source.
+
+    Returns per-request ``(accumulator, shard parts, spill stats)`` plus
+    the shard's usage statistics; with zero requests the worker only counts
+    usage statistics.
+    """
+    plan, stream, requests, end_time, peeringdb, documented = _FORK_JOB
+    cells, usage_stats = plan._feed(
+        stream, requests, shards=1, end_time=end_time, peeringdb=peeringdb,
+        documented=documented, only_shard=shard,
     )
+    return [plan._drain_cell(cell) for cell in cells], usage_stats
 
 
-def _drain(
-    engine: BlackholingInferenceEngine,
-    sink: SpillingObservationSink | None,
+def _assemble(
+    parts: list[tuple[list[BlackholingObservation], EngineStats, CleaningStats]],
+    accumulator: GroupingAccumulator,
+    usage_stats: CommunityUsageStats | None,
     spill: SpillStats | None,
-) -> list[BlackholingObservation]:
-    """Materialise an engine's observations, folding and removing its sink."""
-    observations = engine.observations()
-    if sink is not None:
-        if spill is not None:
-            spill.absorb(sink)
-        sink.cleanup()
-    return observations
+    backend: str,
+    workers: int,
+    engine: BlackholingInferenceEngine | None = None,
+) -> ExecutionOutcome:
+    """One request's outcome from its per-shard ``(observations, engine
+    stats, cleaning stats)`` parts.
 
-
-def _shard_batches(job: dict, shard: int) -> Iterable[ElemBatch]:
-    """One shard's slice of the job stream, in columnar chunks.
-
-    Prefers the stream's native ``batches`` (the decoder-to-column path:
-    typed columns built straight from the sources, rows lazy), falling back
-    to eager per-elem chunking for bare elem iterables.
+    A single part is taken as it is, in the engine's completion order;
+    several are summed and put in the deterministic merge order, so the
+    result cannot depend on shard scheduling.
     """
-    predicate = shard_predicate(shard, job["workers"])
-    stream = job["stream"]
-    batches = getattr(stream, "batches", None)
-    if callable(batches):
-        return batches(job["batch_size"], predicate)
-    return batch_elems(stream.elems(predicate), job["batch_size"])
-
-
-def _stats_shard_worker(shard: int) -> CommunityUsageStats:
-    job = _FORK_JOB
-    stats = CommunityUsageStats()
-    batch_size = job["batch_size"]
-    if batch_size is not None:
-        for batch in _shard_batches(job, shard):
-            stats.observe_batch(batch, job["documented"])
+    if len(parts) == 1:
+        observations, engine_stats, cleaning_stats = parts[0]
     else:
-        elems = job["stream"].elems(shard_predicate(shard, job["workers"]))
-        stats.observe_stream(elems, job["documented"])
-    return stats
-
-
-def _inference_shard_worker(shard: int) -> tuple:
-    job = _FORK_JOB
-    accumulator = GroupingAccumulator(timeout=job["grouping_timeout"])
-    sink = _job_sink(job, f"shard{shard}")
-    engine = BlackholingInferenceEngine(
-        job["dictionary"],
-        peeringdb=job["peeringdb"],
-        enable_bundling=job["enable_bundling"],
-        on_completed=accumulator.add,
-        completed_sink=sink,
+        observations, engine_stats, cleaning_stats = [], EngineStats(), CleaningStats()
+        for shard_observations, shard_engine_stats, shard_cleaning in parts:
+            observations.extend(shard_observations)
+            _merge_counter_dataclass(engine_stats, shard_engine_stats)
+            _merge_counter_dataclass(cleaning_stats, shard_cleaning)
+        observations.sort(key=observation_sort_key)
+    return ExecutionOutcome(
+        observations=observations,
+        engine_stats=engine_stats,
+        cleaning_stats=cleaning_stats,
+        accumulator=accumulator,
+        usage_stats=usage_stats,
+        engine=engine,
+        backend=backend,
+        workers=workers,
+        spill=spill,
     )
-    usage_stats = None
-    documented = job["collect_usage_stats"]
-    batch_size = job["batch_size"]
-    if documented is not None:
-        usage_stats = CommunityUsageStats()
-    if batch_size is not None:
-        for batch in _shard_batches(job, shard):
-            if usage_stats is not None:
-                usage_stats.observe_batch(batch, documented)
-            engine.process_batch(batch)
-    else:
-        elems: Iterable[StreamElem] = job["stream"].elems(
-            shard_predicate(shard, job["workers"])
-        )
-        if usage_stats is not None:
-            elems = _observing(elems, usage_stats, documented)
-        engine.run(elems, batch_size=None)
-    engine.finalise(job["end_time"])
-    spill = SpillStats() if sink is not None else None
-    observations = _drain(engine, sink, spill)
-    return (
-        observations,
-        engine.stats,
-        engine.cleaner.stats,
-        accumulator,
-        usage_stats,
-        spill,
-    )
-
-
-def _inference_many_shard_worker(shard: int) -> tuple:
-    """One shard of a fused multi-engine pass: N engines, one stream slice.
-
-    Returns per-request ``(observations, engine stats, cleaning stats,
-    accumulator, spill stats)`` tuples plus the (shared) usage statistics.
-    Observation callbacks run post-merge in the parent, like the
-    single-engine worker.
-    """
-    job = _FORK_JOB
-    requests: list[InferenceRequest] = job["requests"]
-    accumulators = [
-        GroupingAccumulator(timeout=request.grouping_timeout) for request in requests
-    ]
-    sinks = [
-        _job_sink(job, f"req{index}-shard{shard}")
-        for index in range(len(requests))
-    ]
-    engines = [
-        BlackholingInferenceEngine(
-            request.dictionary,
-            peeringdb=job["peeringdb"],
-            enable_bundling=request.enable_bundling,
-            on_completed=accumulator.add,
-            completed_sink=sink,
-        )
-        for request, accumulator, sink in zip(requests, accumulators, sinks)
-    ]
-    usage_stats = None
-    documented = job["collect_usage_stats"]
-    batch_size = job["batch_size"]
-    if documented is not None:
-        usage_stats = CommunityUsageStats()
-    if batch_size is not None:
-        for batch in _shard_batches(job, shard):
-            if usage_stats is not None:
-                usage_stats.observe_batch(batch, documented)
-            for engine in engines:
-                engine.process_batch(batch)
-    else:
-        elems: Iterable[StreamElem] = job["stream"].elems(
-            shard_predicate(shard, job["workers"])
-        )
-        if usage_stats is not None:
-            elems = _observing(elems, usage_stats, documented)
-        process = [engine.process for engine in engines]
-        for elem in elems:
-            for handle in process:
-                handle(elem)
-    for engine in engines:
-        engine.finalise(job["end_time"])
-    cells = []
-    for engine, accumulator, sink in zip(engines, accumulators, sinks):
-        spill = SpillStats() if sink is not None else None
-        observations = _drain(engine, sink, spill)
-        cells.append(
-            (observations, engine.stats, engine.cleaner.stats, accumulator, spill)
-        )
-    return (cells, usage_stats)
 
 
 def _observing(
@@ -404,6 +313,13 @@ def _shardable(stream) -> bool:
 
 class ExecutionPlan:
     """How one pipeline execution is laid out across shards.
+
+    Every public method is a thin wrapper over one private pass that drives
+    a single stream iteration through one engine per
+    :class:`InferenceRequest` (per shard), optionally counting usage
+    statistics on the way: :meth:`run_inference_many` is that pass,
+    :meth:`run_inference` is the pass with one request and
+    :meth:`run_usage_stats` the pass with none.
 
     Parameters
     ----------
@@ -463,12 +379,22 @@ class ExecutionPlan:
             label=label,
         )
 
-    def _batches_of(self, stream) -> Iterable[ElemBatch]:
-        """Columnar batches of a stream (native when the stream can batch)."""
+    @staticmethod
+    def _elems_of(stream, predicate=None) -> Iterable[StreamElem]:
+        return stream.elems(predicate) if _shardable(stream) else stream
+
+    def _batches_of(self, stream, predicate=None) -> Iterable[ElemBatch]:
+        """Columnar batches of a stream (native when the stream can batch),
+        restricted to the prefixes ``predicate`` accepts when one is given.
+
+        Native ``batches`` is the decoder-to-column path: typed columns
+        built straight from the sources, rows lazy; bare elem iterables
+        fall back to eager per-elem chunking.
+        """
         batches = getattr(stream, "batches", None)
         if callable(batches):
-            return batches(self.batch_size)
-        return batch_elems(self._elems_of(stream), self.batch_size)
+            return batches(self.batch_size, predicate)
+        return batch_elems(self._elems_of(stream, predicate), self.batch_size)
 
     # ------------------------------------------------------------------ #
     def resolved_backend(self) -> str:
@@ -497,7 +423,7 @@ class ExecutionPlan:
         return "process" if (os.cpu_count() or 1) > 1 else "inline"
 
     # ------------------------------------------------------------------ #
-    # Usage-statistics pass
+    # Public wrappers over the one pass
     # ------------------------------------------------------------------ #
     def run_usage_stats(
         self, stream, documented: BlackholeDictionary
@@ -508,33 +434,11 @@ class ExecutionPlan:
         with a compatible ``elems(prefix_filter)`` method) or a plain elem
         iterable; a plain iterable is consumed once, serially.
         """
-        backend = self.resolved_backend()
-        if backend == "process" and _shardable(stream):
-            merged = CommunityUsageStats()
-            for stats in self._map_forked(
-                _stats_shard_worker,
-                {
-                    "stream": stream,
-                    "documented": documented,
-                    "workers": self.workers,
-                    "batch_size": self.batch_size,
-                },
-            ):
-                merged.merge(stats)
-            return merged
-        # Stats accumulation has no cross-shard state at all, so the inline
-        # sharded pass and the serial pass are the same single loop.
-        stats = CommunityUsageStats()
-        if self.batch_size is not None:
-            for batch in self._batches_of(stream):
-                stats.observe_batch(batch, documented)
-        else:
-            stats.observe_stream(self._elems_of(stream), documented)
-        return stats
+        _, usage_stats = self._run_pass(
+            stream, [], end_time=0.0, peeringdb=None, collect_usage_stats=documented
+        )
+        return usage_stats
 
-    # ------------------------------------------------------------------ #
-    # Inference pass
-    # ------------------------------------------------------------------ #
     def run_inference(
         self,
         stream,
@@ -556,25 +460,18 @@ class ExecutionPlan:
         called for every observation: as it closes on the serial/inline
         backends, after the deterministic merge on the process backend.
         """
-        backend = self.resolved_backend()
-        if backend == "serial":
-            return self._run_serial(
-                stream, dictionary, end_time, peeringdb, enable_bundling,
-                grouping_timeout, collect_usage_stats, on_observation,
-            )
-        if backend == "process" and _shardable(stream):
-            return self._run_process(
-                stream, dictionary, end_time, peeringdb, enable_bundling,
-                grouping_timeout, collect_usage_stats, on_observation,
-            )
-        return self._run_inline(
-            stream, dictionary, end_time, peeringdb, enable_bundling,
-            grouping_timeout, collect_usage_stats, on_observation,
+        request = InferenceRequest(
+            dictionary,
+            enable_bundling=enable_bundling,
+            grouping_timeout=grouping_timeout,
+            on_observation=on_observation,
         )
+        outcomes, _ = self._run_pass(
+            stream, [request], end_time=end_time, peeringdb=peeringdb,
+            collect_usage_stats=collect_usage_stats,
+        )
+        return outcomes[0]
 
-    # ------------------------------------------------------------------ #
-    # Fused multi-engine pass
-    # ------------------------------------------------------------------ #
     def run_inference_many(
         self,
         stream,
@@ -600,32 +497,118 @@ class ExecutionPlan:
         requests = list(requests)
         if not requests:
             return []
+        outcomes, _ = self._run_pass(
+            stream, requests, end_time=end_time, peeringdb=peeringdb,
+            collect_usage_stats=collect_usage_stats,
+        )
+        return outcomes
+
+    # ------------------------------------------------------------------ #
+    # The pass
+    # ------------------------------------------------------------------ #
+    def _run_pass(
+        self,
+        stream,
+        requests: list[InferenceRequest],
+        *,
+        end_time: float,
+        peeringdb: PeeringDbDataset | None,
+        collect_usage_stats: BlackholeDictionary | None,
+    ) -> tuple[list[ExecutionOutcome], CommunityUsageStats | None]:
+        """One stream iteration through one engine per request (per shard).
+
+        Two layouts share :meth:`_feed` and :func:`_assemble`:
+
+        * in-process -- one engine per request and shard, the stream
+          demultiplexed by prefix in this process (one shard on the serial
+          backend and for a stats-only pass, which has no per-shard state);
+        * forked -- one worker per shard, each filtering its slice at the
+          source; the parent merges the shard results and only then runs
+          the observation callbacks.
+
+        Returns the per-request outcomes and the usage statistics (``None``
+        unless ``collect_usage_stats`` names the documented dictionary).
+        """
         backend = self.resolved_backend()
-        if backend == "process":
-            if _shardable(stream):
-                return self._run_many_process(
-                    stream, requests, end_time, peeringdb, collect_usage_stats
-                )
+        if backend == "process" and not _shardable(stream):
             # A plain iterable cannot be re-filtered per fork worker; fall
             # back to the in-process demultiplex (and label it as such).
             backend = "inline"
-        workers = 1 if backend == "serial" else self.workers
-        return self._run_many_inline(
-            stream, requests, end_time, peeringdb, collect_usage_stats,
-            workers=workers, backend=backend,
-        )
+        if backend != "process":
+            shards = self.workers if backend == "inline" and requests else 1
+            cells, usage_stats = self._feed(
+                stream, requests, shards=shards, end_time=end_time,
+                peeringdb=peeringdb, documented=collect_usage_stats,
+            )
+            outcomes = []
+            for cell in cells:
+                accumulator, parts, spill = self._drain_cell(cell)
+                engine = None
+                if shards == 1:
+                    # The serial outcome exposes its engine; re-point its
+                    # completed store at the drained list once the sink's
+                    # files are gone.
+                    _, (engine,), (sink,) = cell
+                    if sink is not None:
+                        engine.replace_completed(parts[0][0])
+                outcomes.append(
+                    _assemble(parts, accumulator, usage_stats, spill, backend, shards, engine)
+                )
+            return outcomes, usage_stats
 
-    def _run_many_inline(
-        self, stream, requests, end_time, peeringdb, collect_usage_stats,
-        *, workers: int, backend: str,
-    ) -> list[ExecutionOutcome]:
-        cells: list[
-            tuple[
-                GroupingAccumulator,
-                list[BlackholingInferenceEngine],
-                list[SpillingObservationSink | None],
-            ]
-        ] = []
+        forked = [
+            dataclasses.replace(request, on_observation=None) for request in requests
+        ]
+        results = self._map_forked(
+            (self, stream, forked, end_time, peeringdb, collect_usage_stats)
+        )
+        usage_stats = None
+        if collect_usage_stats is not None:
+            usage_stats = CommunityUsageStats()
+            for _, shard_usage in results:
+                usage_stats.merge(shard_usage)
+        outcomes = []
+        for index, request in enumerate(requests):
+            accumulator = GroupingAccumulator(timeout=request.grouping_timeout)
+            spill = SpillStats() if self.spill_dir is not None else None
+            parts = []
+            for shard_cells, _ in results:
+                shard_accumulator, shard_parts, shard_spill = shard_cells[index]
+                parts.extend(shard_parts)
+                accumulator.merge(shard_accumulator)
+                if spill is not None:
+                    spill.merge(shard_spill)
+            outcome = _assemble(
+                parts, accumulator, usage_stats, spill, "process", self.workers
+            )
+            if request.on_observation is not None:
+                for observation in outcome.observations:
+                    request.on_observation(observation)
+            outcomes.append(outcome)
+        return outcomes, usage_stats
+
+    def _feed(
+        self,
+        stream,
+        requests: list[InferenceRequest],
+        *,
+        shards: int,
+        end_time: float,
+        peeringdb: PeeringDbDataset | None,
+        documented: BlackholeDictionary | None,
+        only_shard: int | None = None,
+    ) -> tuple[list[tuple], CommunityUsageStats | None]:
+        """Drive the stream through ``shards`` engines per request.
+
+        A fork worker passes ``only_shard`` and reads just that shard's
+        slice of the stream.  Returns per-request ``(accumulator, engines,
+        sinks)`` with every engine finalised, plus the usage statistics
+        counted against ``documented`` (``None`` when it is ``None``).
+        """
+        predicate = None
+        if only_shard is not None:
+            predicate = shard_predicate(only_shard, self.workers)
+        cells = []
         for index, request in enumerate(requests):
             accumulator = GroupingAccumulator(timeout=request.grouping_timeout)
             if request.on_observation is None:
@@ -639,8 +622,8 @@ class ExecutionPlan:
                     _add(observation)
                     _notify(observation)
             sinks = [
-                self._new_sink(f"req{index}-shard{shard}")
-                for shard in range(workers)
+                self._new_sink(f"req{index}-shard{shard if only_shard is None else only_shard}")
+                for shard in range(shards)
             ]
             engines = [
                 BlackholingInferenceEngine(
@@ -654,378 +637,80 @@ class ExecutionPlan:
             ]
             cells.append((accumulator, engines, sinks))
 
-        usage_stats = None
-        if collect_usage_stats is not None:
-            usage_stats = CommunityUsageStats()
+        usage_stats = CommunityUsageStats() if documented is not None else None
         if self.batch_size is not None:
             # Columnar dispatch: shard each batch once, then hand the same
-            # (sub-)batch to every cell's engine.
-            if workers == 1:
-                for batch in self._batches_of(stream):
-                    if usage_stats is not None:
-                        usage_stats.observe_batch(batch, collect_usage_stats)
-                    for _, engines, _ in cells:
-                        engines[0].process_batch(batch)
-            else:
-                shard_memo: dict = {}
-                for batch in self._batches_of(stream):
-                    if usage_stats is not None:
-                        usage_stats.observe_batch(batch, collect_usage_stats)
-                    for shard, sub_batch in _split_batch(batch, workers, shard_memo):
-                        for _, engines, _ in cells:
-                            engines[shard].process_batch(sub_batch)
+            # (sub-)batch to every request's engine.
+            dispatch = [
+                [engines[shard].process_batch for _, engines, _ in cells]
+                for shard in range(shards)
+            ]
+            shard_memo: dict = {}
+            for batch in self._batches_of(stream, predicate):
+                if usage_stats is not None:
+                    usage_stats.observe_batch(batch, documented)
+                if shards == 1:
+                    for handle in dispatch[0]:
+                        handle(batch)
+                    continue
+                for shard, sub_batch in _split_batch(batch, shards, shard_memo):
+                    for handle in dispatch[shard]:
+                        handle(sub_batch)
         else:
-            elems: Iterable[StreamElem] = self._elems_of(stream)
+            elems: Iterable[StreamElem] = self._elems_of(stream, predicate)
             if usage_stats is not None:
-                elems = _observing(elems, usage_stats, collect_usage_stats)
-            if workers == 1:
-                # One tight loop, one dispatch list: every engine sees every
-                # elem.
-                process = [engines[0].process for _, engines, _ in cells]
+                elems = _observing(elems, usage_stats, documented)
+            dispatch = [
+                [engines[shard].process for _, engines, _ in cells]
+                for shard in range(shards)
+            ]
+            if shards == 1:
+                # One tight loop, one dispatch list: every engine sees
+                # every elem.
+                process = dispatch[0]
                 for elem in elems:
                     for handle in process:
                         handle(elem)
             else:
-                # Per-shard dispatch lists; the per-prefix shard choice is
-                # memoised exactly like the single-engine inline loop.
-                dispatch = [
-                    [engines[shard].process for _, engines, _ in cells]
-                    for shard in range(workers)
-                ]
+                # Streams repeat the same prefixes constantly, so the
+                # per-prefix shard choice is memoised.
                 shard_memo = {}
                 memo_get = shard_memo.get
                 for elem in elems:
                     prefix = elem.prefix
                     shard = memo_get(prefix)
                     if shard is None:
-                        shard = shard_memo[prefix] = shard_of(prefix, workers)
+                        shard = shard_memo[prefix] = shard_of(prefix, shards)
                     for handle in dispatch[shard]:
                         handle(elem)
-
-        outcomes: list[ExecutionOutcome] = []
-        for accumulator, engines, sinks in cells:
+        for _, engines, _ in cells:
             for engine in engines:
                 engine.finalise(end_time)
-            spill = SpillStats() if self.spill_dir is not None else None
-            if workers == 1:
-                engine = engines[0]
-                observations = _drain(engine, sinks[0], spill)
-                if sinks[0] is not None:
-                    engine.replace_completed(observations)
-                outcomes.append(
-                    ExecutionOutcome(
-                        observations=observations,
-                        engine_stats=engine.stats,
-                        cleaning_stats=engine.cleaner.stats,
-                        accumulator=accumulator,
-                        usage_stats=usage_stats,
-                        engine=engine,
-                        backend=backend,
-                        workers=1,
-                        spill=spill,
-                    )
-                )
-                continue
-            observations = []
-            engine_stats = EngineStats()
-            cleaning_stats = CleaningStats()
-            for engine, sink in zip(engines, sinks):
-                observations.extend(_drain(engine, sink, spill))
-                _merge_counter_dataclass(engine_stats, engine.stats)
-                _merge_counter_dataclass(cleaning_stats, engine.cleaner.stats)
-            observations.sort(key=observation_sort_key)
-            outcomes.append(
-                ExecutionOutcome(
-                    observations=observations,
-                    engine_stats=engine_stats,
-                    cleaning_stats=cleaning_stats,
-                    accumulator=accumulator,
-                    usage_stats=usage_stats,
-                    engine=None,
-                    backend=backend,
-                    workers=workers,
-                    spill=spill,
-                )
-            )
-        return outcomes
+        return cells, usage_stats
 
-    def _run_many_process(
-        self, stream, requests, end_time, peeringdb, collect_usage_stats
-    ) -> list[ExecutionOutcome]:
-        job = {
-            "stream": stream,
-            "requests": requests,
-            "peeringdb": peeringdb,
-            "end_time": end_time,
-            "collect_usage_stats": collect_usage_stats,
-            "batch_size": self.batch_size,
-            "workers": self.workers,
-            "spill_dir": self.spill_dir,
-            "max_resident": self.max_resident_observations
-            or DEFAULT_MAX_RESIDENT_OBSERVATIONS,
-        }
-        spilling = self.spill_dir is not None
-        merged: list[tuple] = [
-            (
-                [],
-                EngineStats(),
-                CleaningStats(),
-                GroupingAccumulator(timeout=request.grouping_timeout),
-                SpillStats() if spilling else None,
-            )
-            for request in requests
-        ]
-        usage_stats = CommunityUsageStats() if collect_usage_stats is not None else None
-        for shard_cells, shard_usage in self._map_forked(
-            _inference_many_shard_worker, job
-        ):
-            for target, cell in zip(merged, shard_cells):
-                observations, engine_stats, cleaning_stats, accumulator, spill = cell
-                target[0].extend(observations)
-                _merge_counter_dataclass(target[1], engine_stats)
-                _merge_counter_dataclass(target[2], cleaning_stats)
-                target[3].merge(accumulator)
-                if target[4] is not None and spill is not None:
-                    target[4].merge(spill)
-            if usage_stats is not None and shard_usage is not None:
-                usage_stats.merge(shard_usage)
-        outcomes: list[ExecutionOutcome] = []
-        for request, (
-            observations,
-            engine_stats,
-            cleaning_stats,
-            accumulator,
-            spill,
-        ) in zip(requests, merged):
-            observations.sort(key=observation_sort_key)
-            if request.on_observation is not None:
-                for observation in observations:
-                    request.on_observation(observation)
-            outcomes.append(
-                ExecutionOutcome(
-                    observations=observations,
-                    engine_stats=engine_stats,
-                    cleaning_stats=cleaning_stats,
-                    accumulator=accumulator,
-                    usage_stats=usage_stats,
-                    engine=None,
-                    backend="process",
-                    workers=self.workers,
-                    spill=spill,
-                )
-            )
-        return outcomes
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _elems_of(stream) -> Iterable[StreamElem]:
-        return stream.elems() if _shardable(stream) else stream
-
-    def _run_serial(
-        self, stream, dictionary, end_time, peeringdb, enable_bundling,
-        grouping_timeout, collect_usage_stats, on_observation,
-    ) -> ExecutionOutcome:
-        accumulator = GroupingAccumulator(timeout=grouping_timeout)
-
-        def completed(observation: BlackholingObservation) -> None:
-            accumulator.add(observation)
-            if on_observation is not None:
-                on_observation(observation)
-
-        sink = self._new_sink("serial")
-        engine = BlackholingInferenceEngine(
-            dictionary,
-            peeringdb=peeringdb,
-            enable_bundling=enable_bundling,
-            on_completed=completed,
-            completed_sink=sink,
-        )
-        usage_stats = None
-        if self.batch_size is not None:
-            if collect_usage_stats is not None:
-                usage_stats = CommunityUsageStats()
-                for batch in self._batches_of(stream):
-                    usage_stats.observe_batch(batch, collect_usage_stats)
-                    engine.process_batch(batch)
-            else:
-                for batch in self._batches_of(stream):
-                    engine.process_batch(batch)
-        else:
-            elems = self._elems_of(stream)
-            if collect_usage_stats is not None:
-                usage_stats = CommunityUsageStats()
-                elems = _observing(elems, usage_stats, collect_usage_stats)
-            engine.run(elems, batch_size=None)
-        engine.finalise(end_time)
-        spill = SpillStats() if sink is not None else None
-        observations = _drain(engine, sink, spill)
-        if sink is not None:
-            # The outcome exposes the engine itself; re-point its completed
-            # store at the drained list now that the sink's files are gone.
-            engine.replace_completed(observations)
-        return ExecutionOutcome(
-            observations=observations,
-            engine_stats=engine.stats,
-            cleaning_stats=engine.cleaner.stats,
-            accumulator=accumulator,
-            usage_stats=usage_stats,
-            engine=engine,
-            backend="serial",
-            workers=1,
-            spill=spill,
-        )
-
-    def _run_inline(
-        self, stream, dictionary, end_time, peeringdb, enable_bundling,
-        grouping_timeout, collect_usage_stats, on_observation,
-    ) -> ExecutionOutcome:
-        accumulator = GroupingAccumulator(timeout=grouping_timeout)
-
-        def completed(observation: BlackholingObservation) -> None:
-            accumulator.add(observation)
-            if on_observation is not None:
-                on_observation(observation)
-
-        workers = self.workers
-        sinks = [self._new_sink(f"shard{shard}") for shard in range(workers)]
-        engines = [
-            BlackholingInferenceEngine(
-                dictionary,
-                peeringdb=peeringdb,
-                enable_bundling=enable_bundling,
-                on_completed=completed,
-                completed_sink=sink,
-            )
-            for sink in sinks
-        ]
-        usage_stats = None
-        if self.batch_size is not None:
-            # Columnar demultiplex: shard each batch once over its
-            # prefix-key column and hand whole sub-batches to the engines.
-            if collect_usage_stats is not None:
-                usage_stats = CommunityUsageStats()
-            shard_memo: dict = {}
-            for batch in self._batches_of(stream):
-                if usage_stats is not None:
-                    usage_stats.observe_batch(batch, collect_usage_stats)
-                for shard, sub_batch in _split_batch(batch, workers, shard_memo):
-                    engines[shard].process_batch(sub_batch)
-        else:
-            # One tight loop: demultiplex (and optionally observe usage
-            # stats) without per-elem generator frames or attribute lookups.
-            # Streams repeat the same prefixes constantly, so the per-prefix
-            # shard choice is memoised (missing entries fall back to
-            # shard_of()).
-            process = [engine.process for engine in engines]
-            shard_memo = {}
-            memo_get = shard_memo.get
-            if collect_usage_stats is not None:
-                usage_stats = CommunityUsageStats()
-                observe = usage_stats.observe
-                for elem in self._elems_of(stream):
-                    observe(elem, collect_usage_stats)
-                    prefix = elem.prefix
-                    shard = memo_get(prefix)
-                    if shard is None:
-                        shard = shard_memo[prefix] = shard_of(prefix, workers)
-                    process[shard](elem)
-            else:
-                for elem in self._elems_of(stream):
-                    prefix = elem.prefix
-                    shard = memo_get(prefix)
-                    if shard is None:
-                        shard = shard_memo[prefix] = shard_of(prefix, workers)
-                    process[shard](elem)
-        for engine in engines:
-            engine.finalise(end_time)
-
+    def _drain_cell(self, cell: tuple) -> tuple:
+        """One request's ``(accumulator, parts, spill stats)``: its per-shard
+        ``(observations, engine stats, cleaning stats)`` parts, with every
+        spill sink folded into the spill stats and removed."""
+        accumulator, engines, sinks = cell
         spill = SpillStats() if self.spill_dir is not None else None
-        observations: list[BlackholingObservation] = []
+        parts = []
         for engine, sink in zip(engines, sinks):
-            observations.extend(_drain(engine, sink, spill))
-        observations.sort(key=observation_sort_key)
-        engine_stats = EngineStats()
-        cleaning_stats = CleaningStats()
-        for engine in engines:
-            _merge_counter_dataclass(engine_stats, engine.stats)
-            _merge_counter_dataclass(cleaning_stats, engine.cleaner.stats)
-        return ExecutionOutcome(
-            observations=observations,
-            engine_stats=engine_stats,
-            cleaning_stats=cleaning_stats,
-            accumulator=accumulator,
-            usage_stats=usage_stats,
-            engine=None,
-            backend="inline",
-            workers=workers,
-            spill=spill,
-        )
+            observations = engine.observations()
+            if sink is not None:
+                spill.absorb(sink)
+                sink.cleanup()
+            parts.append((observations, engine.stats, engine.cleaner.stats))
+        return accumulator, parts, spill
 
-    def _run_process(
-        self, stream, dictionary, end_time, peeringdb, enable_bundling,
-        grouping_timeout, collect_usage_stats, on_observation,
-    ) -> ExecutionOutcome:
-        job = {
-            "stream": stream,
-            "dictionary": dictionary,
-            "peeringdb": peeringdb,
-            "enable_bundling": enable_bundling,
-            "end_time": end_time,
-            "grouping_timeout": grouping_timeout,
-            "collect_usage_stats": collect_usage_stats,
-            "batch_size": self.batch_size,
-            "workers": self.workers,
-            "spill_dir": self.spill_dir,
-            "max_resident": self.max_resident_observations
-            or DEFAULT_MAX_RESIDENT_OBSERVATIONS,
-        }
-        observations: list[BlackholingObservation] = []
-        engine_stats = EngineStats()
-        cleaning_stats = CleaningStats()
-        accumulator = GroupingAccumulator(timeout=grouping_timeout)
-        usage_stats = CommunityUsageStats() if collect_usage_stats is not None else None
-        spill = SpillStats() if self.spill_dir is not None else None
-        for (
-            shard_observations,
-            shard_engine_stats,
-            shard_cleaning,
-            shard_acc,
-            shard_usage,
-            shard_spill,
-        ) in self._map_forked(_inference_shard_worker, job):
-            observations.extend(shard_observations)
-            _merge_counter_dataclass(engine_stats, shard_engine_stats)
-            _merge_counter_dataclass(cleaning_stats, shard_cleaning)
-            accumulator.merge(shard_acc)
-            if usage_stats is not None and shard_usage is not None:
-                usage_stats.merge(shard_usage)
-            if spill is not None and shard_spill is not None:
-                spill.merge(shard_spill)
-        observations.sort(key=observation_sort_key)
-        if on_observation is not None:
-            for observation in observations:
-                on_observation(observation)
-        return ExecutionOutcome(
-            observations=observations,
-            engine_stats=engine_stats,
-            cleaning_stats=cleaning_stats,
-            accumulator=accumulator,
-            usage_stats=usage_stats,
-            engine=None,
-            backend="process",
-            workers=self.workers,
-            spill=spill,
-        )
-
-    # ------------------------------------------------------------------ #
-    def _map_forked(self, worker: Callable[[int], object], job: dict) -> list:
-        """Run ``worker`` over every shard index in a fork pool."""
+    def _map_forked(self, job: tuple) -> list:
+        """Run :func:`_shard_worker` over every shard index in a fork pool."""
         global _FORK_JOB
         context = multiprocessing.get_context("fork")
         _FORK_JOB = job
         try:
             with context.Pool(processes=self.workers) as pool:
-                return pool.map(worker, range(self.workers))
+                return pool.map(_shard_worker, range(self.workers))
         finally:
             _FORK_JOB = None
 

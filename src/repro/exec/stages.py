@@ -93,12 +93,8 @@ def stream_identity(context: "PipelineContext") -> tuple:
     )
 
 
-#: Backwards-compatible alias for the stage cache identities below.
-_stream_identity = stream_identity
-
-
 def _effective_dictionary_identity(context: "PipelineContext") -> tuple:
-    return _stream_identity(context) + (context.use_inferred_dictionary,)
+    return stream_identity(context) + (context.use_inferred_dictionary,)
 
 
 # --------------------------------------------------------------------------- #
@@ -175,18 +171,8 @@ def _build_inference(context: "PipelineContext") -> dict[str, object]:
         on_observation=context.observation_callback,
     )
     artifacts = inference_artifacts(outcome)
-    if outcome.engine_stats.batches_processed and context.shared_cache is not None:
-        # Columnar dispatch accounting, following the "stream_pass"
-        # precedent: campaigns can assert batched cells dispatched
-        # O(batches) units via the shared tallies.
-        context.shared_cache.build_counts["elem_batches"] += (
-            outcome.engine_stats.batches_processed
-        )
-        # Lazy-row accounting alongside it: how many StreamElems the
-        # batched pass actually constructed (0 on a fully-boring stream).
-        context.shared_cache.build_counts["rows_materialised"] += (
-            outcome.engine_stats.rows_materialised
-        )
+    if context.shared_cache is not None:
+        context.shared_cache.note_dispatch([outcome])
     if outcome.usage_stats is not None:
         artifacts["usage_stats"] = outcome.usage_stats
         # Let sibling campaign contexts resolve the fused statistics under
@@ -222,14 +208,14 @@ DEFAULT_STAGES: tuple[Stage, ...] = (
         "usage_stats",
         ("usage_stats",),
         _build_usage_stats,
-        cache_inputs=_stream_identity,
+        cache_inputs=stream_identity,
         requires=("documented_dictionary",),
     ),
     Stage(
         "inferred_dictionary",
         ("inferred_dictionary",),
         _build_inferred_dictionary,
-        cache_inputs=_stream_identity,
+        cache_inputs=stream_identity,
         requires=("documented_dictionary", "usage_stats"),
     ),
     Stage(

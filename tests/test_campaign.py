@@ -27,6 +27,7 @@ from repro.exec.campaign import (
     StudyCampaign,
 )
 from repro.exec.identity import fingerprint
+from repro.exec.plan import ExecutionPlan
 from repro.workload.config import ScenarioConfig
 
 
@@ -175,6 +176,25 @@ class TestSharedArtifacts:
             assert cell.report.users() == alone.report.users()
             assert cell.report.prefixes() == alone.report.prefixes()
             assert len(cell.events) == len(alone.events)
+
+    def test_batched_sweep_tallies_materialised_rows(self, small_dataset):
+        # Both fused waves (documented cells, then the inferred-dictionary
+        # cell) add their engines' materialised rows to the shared tally.
+        matrix = ScenarioMatrix(
+            small_dataset.config,
+            ablations=(BASELINE, NO_BUNDLING, INFERRED_DICTIONARY),
+        )
+        results = StudyCampaign(
+            matrix,
+            plan=ExecutionPlan(batch_size=512),
+            dataset_factory=lambda config: small_dataset,
+        ).run()
+        cells = [
+            result.context.get("execution_outcome").engine_stats.rows_materialised
+            for result in results
+        ]
+        assert results.build_counts["inference"] == 2
+        assert results.build_counts["rows_materialised"] == sum(cells) > 0
 
     def test_results_and_work_are_memoised(self, small_dataset):
         campaign = StudyCampaign(
