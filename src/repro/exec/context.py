@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.core.events import BlackholingObservation
 from repro.core.grouping import DEFAULT_GROUPING_TIMEOUT
-from repro.exec.plan import ExecutionPlan
+from repro.exec.plan import ExecutionOutcome, ExecutionPlan
 from repro.exec.stages import DEFAULT_STAGES, Stage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -67,7 +67,7 @@ class ArtifactCache:
     def note_build(self, stage_name: str) -> None:
         self.build_counts[stage_name] += 1
 
-    def note_dispatch(self, outcomes) -> None:
+    def note_dispatch(self, outcomes: Sequence[ExecutionOutcome]) -> None:
         """Tally one inference pass's columnar dispatch work.
 
         ``elem_batches`` gains the ``ElemBatch`` units the pass pushed
@@ -77,9 +77,10 @@ class ArtifactCache:
         the sum over the outcomes counts distinct rows.  Per-elem passes
         (no batches) tally nothing.
         """
-        if not outcomes or not outcomes[0].engine_stats.batches_processed:
+        batches = outcomes[0].engine_stats.batches_processed
+        if not batches:
             return
-        self.build_counts["elem_batches"] += outcomes[0].engine_stats.batches_processed
+        self.build_counts["elem_batches"] += batches
         self.build_counts["rows_materialised"] += sum(
             outcome.engine_stats.rows_materialised for outcome in outcomes
         )
