@@ -59,6 +59,10 @@ class AttributeType(enum.IntEnum):
     LARGE_COMMUNITIES = 32
 
 
+#: Marks an :class:`AsPath` whose collapsed form is not memoised yet.
+_UNSET = object()
+
+
 @dataclass(frozen=True)
 class AsPath:
     """An AS_PATH as an ordered tuple of AS_SEQUENCE hops.
@@ -107,12 +111,27 @@ class AsPath:
         return self.hops[0] if self.hops else None
 
     def without_prepending(self) -> "AsPath":
-        """Collapse consecutive duplicate hops (AS-path prepending)."""
+        """Collapse consecutive duplicate hops (AS-path prepending).
+
+        Memoised on the instance: the provider resolution asks for it
+        several times per tagged elem, and every elem of a message shares
+        the message's path.  The memo holds ``None`` when the path has no
+        prepending (the path itself is the answer), so an instance never
+        references itself.
+        """
+        cached = self.__dict__.get("_collapsed", _UNSET)
+        if cached is not _UNSET:
+            return self if cached is None else cached
         collapsed: list[int] = []
         for hop in self.hops:
             if not collapsed or collapsed[-1] != hop:
                 collapsed.append(hop)
-        return AsPath(tuple(collapsed))
+        if len(collapsed) == len(self.hops):
+            object.__setattr__(self, "_collapsed", None)
+            return self
+        result = AsPath(tuple(collapsed))
+        object.__setattr__(self, "_collapsed", result)
+        return result
 
     def unique_hops(self) -> tuple[int, ...]:
         """Unique ASNs in path order (first occurrence wins)."""

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.bgp.community import Community, LargeCommunity
 from repro.netutils.prefixes import Prefix
@@ -79,8 +79,29 @@ class BlackholingObservation:
         return max(0.0, self.end_time - self.start_time)
 
     def ended(self, end_time: float, cause: EndCause) -> "BlackholingObservation":
-        """A copy of the observation closed at ``end_time``."""
-        return replace(self, end_time=end_time, end_cause=cause)
+        """A copy of the observation closed at ``end_time``.
+
+        Spelled out rather than ``dataclasses.replace``: every observation
+        is closed once, and the generic copy is several times slower.
+        """
+        return BlackholingObservation(
+            self.prefix,
+            self.project,
+            self.collector,
+            self.peer_ip,
+            self.peer_as,
+            self.provider_key,
+            self.provider_asn,
+            self.ixp_name,
+            self.user_asn,
+            self.community,
+            self.detection,
+            self.as_distance,
+            self.start_time,
+            end_time,
+            cause,
+            self.from_table_dump,
+        )
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         state = "active" if self.is_active else f"ended@{self.end_time}"

@@ -51,7 +51,12 @@ class ResolvedProvider:
 
 
 class ProviderResolver:
-    """Stateless resolution logic shared by the inference engine."""
+    """Resolution logic shared by the inference engine.
+
+    The only state is a memo of peer IP -> IXP peering LAN: a stream has few
+    distinct peers, so each peer address is looked up in PeeringDB once per
+    resolver.  PeeringDB is therefore read as fixed for the resolver's life.
+    """
 
     def __init__(
         self,
@@ -62,6 +67,7 @@ class ProviderResolver:
         self.dictionary = dictionary
         self.peeringdb = peeringdb if peeringdb is not None else PeeringDbDataset()
         self.enable_bundling = enable_bundling
+        self._peer_ixps: dict[str, str | None] = {}
 
     # ------------------------------------------------------------------ #
     def resolve(self, elem: StreamElem) -> list[ResolvedProvider]:
@@ -130,7 +136,11 @@ class ProviderResolver:
             )
 
         # (b) peer IP inside an IXP peering LAN.
-        ixp_name = self.peeringdb.ixp_for_peer_ip(elem.peer_ip)
+        peer_ip = elem.peer_ip
+        try:
+            ixp_name = self._peer_ixps[peer_ip]
+        except KeyError:
+            ixp_name = self._peer_ixps[peer_ip] = self.peeringdb.ixp_for_peer_ip(peer_ip)
         if ixp_name is not None and (not known_ixps or ixp_name in known_ixps):
             entry = self._entry_for_ixp(entries, ixp_name)
             return ResolvedProvider(

@@ -23,6 +23,7 @@ from repro.core.events import BlackholingObservation
 from repro.core.grouping import DEFAULT_GROUPING_TIMEOUT
 from repro.exec.plan import ExecutionOutcome, ExecutionPlan
 from repro.exec.stages import DEFAULT_STAGES, Stage
+from repro.gcpause import paused_gc
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.store import ArtifactStore
@@ -263,7 +264,8 @@ class PipelineContext:
         if produced is None:
             self._building.add(stage.name)
             try:
-                produced = stage.build(self)
+                with paused_gc():
+                    produced = stage.build(self)
             finally:
                 self._building.discard(stage.name)
             self.build_counts[stage.name] += 1

@@ -49,6 +49,7 @@ from repro.exec.spill import (
     SpillingObservationSink,
     SpillStats,
 )
+from repro.gcpause import paused_gc
 from repro.netutils.prefixes import Prefix
 from repro.stream.batch import ElemBatch, batch_elems, prefix_shard_key
 from repro.stream.record import StreamElem
@@ -506,6 +507,7 @@ class ExecutionPlan:
     # ------------------------------------------------------------------ #
     # The pass
     # ------------------------------------------------------------------ #
+    @paused_gc()
     def _run_pass(
         self,
         stream,

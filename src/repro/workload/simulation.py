@@ -22,6 +22,7 @@ from typing import Iterator
 from repro.attacks.timeline import AttackTimeline, generate_timeline
 from repro.bgp.message import BgpMessage, BgpUpdate
 from repro.bgp.rib import Rib
+from repro.gcpause import paused_gc
 from repro.registry.corpus import DocumentationCorpus, build_corpus
 from repro.routing.collectors import (
     CollectorPlatform,
@@ -110,6 +111,7 @@ class ScenarioSimulator:
         self.config = config or ScenarioConfig.small()
 
     # ------------------------------------------------------------------ #
+    @paused_gc()
     def generate(self) -> ScenarioDataset:
         config = self.config
         start, end = config.start, config.end

@@ -1,5 +1,7 @@
 """Tests for AS paths, path attributes and BGP message objects."""
 
+import pickle
+
 import pytest
 
 from repro.bgp.attributes import AsPath, Origin, PathAttributes
@@ -24,6 +26,18 @@ class TestAsPath:
     def test_prepending_removal(self):
         path = AsPath.from_hops([3356, 3356, 1299, 64500, 64500, 64500])
         assert path.without_prepending().hops == (3356, 1299, 64500)
+
+    def test_prepending_removal_is_memoised_by_value(self):
+        prepended = AsPath.from_hops([3356, 3356, 1299])
+        collapsed = prepended.without_prepending()
+        assert prepended.without_prepending() is collapsed
+        plain = AsPath.from_hops([3356, 1299])
+        assert plain.without_prepending() is plain
+        # The memo is invisible to equality, hashing and pickling.
+        assert prepended == AsPath.from_hops([3356, 3356, 1299])
+        assert hash(plain) == hash(AsPath.from_hops([3356, 1299]))
+        restored = pickle.loads(pickle.dumps(plain))
+        assert restored == plain and restored.without_prepending() is restored
 
     def test_prepend(self):
         path = AsPath.from_hops([1299]).prepend(3356, times=3)
