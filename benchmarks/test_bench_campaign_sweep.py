@@ -4,7 +4,9 @@ Runs the paper's three ablation variants (baseline / no-bundling /
 inferred-dictionary) over the bench scenario twice:
 
 * independently -- three full ``StudyPipeline(...).run()`` calls, each
-  paying for its own dictionary build and usage-statistics pass;
+  paying for its own dictionary build and usage statistics: baseline and
+  no-bundling collect them inside their single inference pass, while
+  inferred-dictionary needs a statistics pass before its inference pass;
 * as one :class:`~repro.exec.campaign.StudyCampaign` sweep -- the scenario
   simulation, documented dictionary and usage statistics are computed once,
   shared through the cross-context artifact cache, and the fused scheduler
@@ -91,7 +93,8 @@ def test_bench_campaign_sweep(benchmark, bench_dataset, results_dir):
         "Campaign: 3-variant ablation sweep (baseline / no-bundling / "
         "inferred-dictionary)\n"
         f"  independent pipelines: {independent_seconds:8.2f} s "
-        f"(3x dictionary + usage stats + inference)\n"
+        f"(3x dictionary + inference, 4 stream passes: stats inline for "
+        "baseline and no-bundling, a separate stats pass for inferred-dictionary)\n"
         f"  fused campaign sweep:  {sweep_seconds:8.2f} s "
         f"(shared dictionary; 2 stream passes: one multi-engine pass for "
         "baseline+no-bundling with stats inline, one for inferred-dictionary)\n"

@@ -36,9 +36,10 @@ class StudyResult:
 
     A lazy view: each property resolves its artifact through the shared
     :class:`~repro.exec.context.PipelineContext`, so accessing
-    ``result.usage_stats`` runs the statistics pass but not inference,
-    while ``result.report`` triggers inference without the statistics pass
-    (unless the execution plan fused the two into one stream iteration).
+    ``result.usage_stats`` first runs a statistics-only pass but not
+    inference, while ``result.report`` (or :meth:`materialise`) runs the
+    inference pass, which collects the usage statistics in the same stream
+    iteration unless they already exist.
     """
 
     def __init__(self, context: PipelineContext) -> None:
@@ -188,15 +189,9 @@ class StudyPipeline:
     def run(self) -> StudyResult:
         """Compute every stage eagerly and return the (cached) result.
 
-        Serial plans keep the seed's pass structure (statistics pass, then
-        inference pass); sharded plans let the inference stage fuse the
-        statistics collection into its single stream iteration.
+        Every plan, serial or sharded, streams the input once: the inference
+        stage collects the usage statistics in the same iteration.  Only an
+        inferred-dictionary study takes a second pass, because its engine's
+        dictionary is derived from those statistics.
         """
-        result = self.result()
-        if self.plan.workers == 1:
-            result.context.force_all(
-                order=("documented_dictionary", "usage_stats", "observations")
-            )
-        else:
-            result.context.force_all(order=("observations",))
-        return result
+        return self.result().materialise()

@@ -46,8 +46,10 @@ class DatasetOverviewRow:
     unique_prefixes: int
 
 
-def compute_table1(dataset: ScenarioDataset) -> list[DatasetOverviewRow]:
-    """Compute the Table 1 rows (one per project, plus a TOTAL row)."""
+def _project_sets(
+    dataset: ScenarioDataset,
+) -> tuple[dict[str, set[str]], dict[str, set[int]], dict[str, set[Prefix]]]:
+    """Per-project IP peers, AS peers and prefixes, from one walk of the sources."""
     ip_peers: dict[str, set[str]] = defaultdict(set)
     as_peers: dict[str, set[int]] = defaultdict(set)
     prefixes: dict[str, set[Prefix]] = defaultdict(set)
@@ -58,7 +60,14 @@ def compute_table1(dataset: ScenarioDataset) -> list[DatasetOverviewRow]:
             ip_peers[project].add(elem.peer_ip)
             as_peers[project].add(elem.peer_as)
             prefixes[project].add(elem.prefix)
+    return ip_peers, as_peers, prefixes
 
+
+def _rows(
+    ip_peers: dict[str, set[str]],
+    as_peers: dict[str, set[int]],
+    prefixes: dict[str, set[Prefix]],
+) -> list[DatasetOverviewRow]:
     projects = sorted(ip_peers)
     rows: list[DatasetOverviewRow] = []
     for project in projects:
@@ -91,15 +100,21 @@ def compute_table1(dataset: ScenarioDataset) -> list[DatasetOverviewRow]:
     return rows
 
 
-def ipv4_fraction(dataset: ScenarioDataset) -> float:
-    """Fraction of observed prefixes that are IPv4 (the paper reports 96.64%)."""
-    all_prefixes: set[Prefix] = set()
-    for source in dataset.sources:
-        for elem in source.all_elems():
-            all_prefixes.add(elem.prefix)
+def _ipv4_share(prefixes: dict[str, set[Prefix]]) -> float:
+    all_prefixes: set[Prefix] = set().union(*prefixes.values())
     if not all_prefixes:
         return 0.0
     return sum(1 for p in all_prefixes if p.family == 4) / len(all_prefixes)
+
+
+def compute_table1(dataset: ScenarioDataset) -> list[DatasetOverviewRow]:
+    """Compute the Table 1 rows (one per project, plus a TOTAL row)."""
+    return _rows(*_project_sets(dataset))
+
+
+def ipv4_fraction(dataset: ScenarioDataset) -> float:
+    """Fraction of observed prefixes that are IPv4 (the paper reports 96.64%)."""
+    return _ipv4_share(_project_sets(dataset)[2])
 
 
 @registry.analysis(
@@ -108,14 +123,17 @@ def ipv4_fraction(dataset: ScenarioDataset) -> float:
     needs=(),
 )
 def table1_analysis(result: "StudyResult") -> registry.AnalysisResult:
-    """Table 1 as a registered artifact (scenario dataset only, no stages)."""
-    rows = compute_table1(result.dataset)
+    """Table 1 as a registered artifact (scenario dataset only, no stages).
+
+    The rows and the IPv4 share come from one walk of the sources.
+    """
+    ip_peers, as_peers, prefixes = _project_sets(result.dataset)
     return registry.AnalysisResult(
         name="table1",
         title="Table 1: Overview of BGP datasets",
         headers=TABLE1_HEADERS,
-        rows=tuple(rows),
-        meta={"ipv4_fraction": ipv4_fraction(result.dataset)},
+        rows=tuple(_rows(ip_peers, as_peers, prefixes)),
+        meta={"ipv4_fraction": _ipv4_share(prefixes)},
     )
 
 

@@ -1,10 +1,14 @@
 """Tests for the table/figure analyses over the small end-to-end scenario."""
 
+from collections import Counter
+
 import pytest
 
 from repro.analysis import fig2, fig4, fig5, fig6, fig7, fig8, fig9
 from repro.analysis import table1, table2, table3, table4
 from repro.analysis.common import cdf_points, format_table
+from repro.analysis.pipeline import StudyPipeline
+from repro.stream.source import CollectorSource
 from repro.topology.types import NetworkType
 
 
@@ -34,6 +38,20 @@ class TestTables:
         assert all(row.ip_peers >= row.as_peers > 0 for row in per_source)
         assert table1.ipv4_fraction(small_dataset) > 0.95
         assert "Table 1" in table1.format_table1(rows)
+
+    def test_table1_analysis_walks_each_source_once(self, small_dataset, monkeypatch):
+        walks = Counter()
+        all_elems = CollectorSource.all_elems
+
+        def counting(source, *args, **kwargs):
+            walks[id(source)] += 1
+            return all_elems(source, *args, **kwargs)
+
+        monkeypatch.setattr(CollectorSource, "all_elems", counting)
+        res = StudyPipeline(small_dataset).result().analysis("table1")
+        assert walks == Counter({id(source): 1 for source in small_dataset.sources})
+        assert res.rows == tuple(table1.compute_table1(small_dataset))
+        assert res.meta["ipv4_fraction"] == table1.ipv4_fraction(small_dataset)
 
     def test_table2_matches_dictionary_totals(self, study_result):
         rows = table2.compute_table2(

@@ -5,7 +5,8 @@ pin what the wrappers promise beyond result parity (which the exec, fused,
 batch, spill and lazy-ingest suites cover): which layout and label a run
 gets, that a stats-only pass never shards, that the wrappers do not route
 through one another, and that more shards than one byte can name still
-split batches exactly.
+split batches exactly.  The study tests pin that an eager study streams
+its input once, with the usage statistics collected in the inference pass.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import dataclasses
 import pytest
 
 import repro.exec.plan as plan_module
+from repro.analysis.pipeline import StudyPipeline
 from repro.exec.plan import ExecutionPlan, InferenceRequest
 
 
@@ -111,3 +113,23 @@ class TestWrappers:
             peeringdb=small_dataset.topology.peeringdb,
         )
         assert outcome.observations == expected
+
+
+class TestStudyPasses:
+    @pytest.mark.parametrize("batch_size", [None, 512])
+    def test_study_streams_once(self, small_dataset, batch_size):
+        result = StudyPipeline(small_dataset, batch_size=batch_size).run()
+        assert result.context.stream_passes == 1
+        assert result.context.build_counts["usage_stats"] == 0
+        # Independent oracle: a standalone statistics-only pass.
+        expected = ExecutionPlan().run_usage_stats(
+            small_dataset.bgp_stream(), result.dictionary
+        )
+        assert result.usage_stats == expected
+
+    def test_inferred_dictionary_study_streams_twice(self, small_dataset):
+        # The engine's dictionary is derived from the statistics, so they
+        # need a pass of their own before inference.
+        result = StudyPipeline(small_dataset, use_inferred_dictionary=True).run()
+        assert result.context.stream_passes == 2
+        assert result.context.build_counts["usage_stats"] == 1
