@@ -4,7 +4,7 @@ Benchmarks the community-usage statistics pass plus the inferred-dictionary
 heuristic, and regenerates the separation statistics behind Figure 2.
 """
 
-from repro.analysis import fig2
+from repro.analysis import registry
 from repro.dictionary.inference import CommunityUsageStats, ExtendedDictionaryInference
 
 from bench_helpers import write_result
@@ -23,8 +23,8 @@ def test_bench_usage_stats_pass(benchmark, bench_result):
 
 
 def test_bench_fig2(benchmark, bench_result, results_dir):
-    summary = benchmark(fig2.compute_fig2_summary, bench_result)
-    surface = fig2.compute_fig2_surface(bench_result)
+    (summary,) = benchmark(registry.get("fig2").run, bench_result).rows
+    surface = bench_result.analysis("fig2_surface").rows
     blackhole_points = [row for row in surface if row["label"] == "blackhole"]
     non_blackhole_points = [row for row in surface if row["label"] == "non-blackhole"]
     text = (

@@ -5,15 +5,17 @@ blackholing providers, users and prefixes, the growth factors of Section 6,
 and the spike detection/annotation against the named DDoS incidents.
 """
 
-from repro.analysis import fig4
+from repro.analysis import fig4, registry
 
 from bench_helpers import write_result
 
 
 def test_bench_fig4(benchmark, longitudinal_result, results_dir):
-    daily = benchmark(fig4.compute_daily_activity, longitudinal_result)
-    growth = fig4.compute_growth(daily, window_days=60)
-    spikes = fig4.detect_spikes(daily, window=14, threshold=2.0)
+    daily = benchmark(registry.get("fig4").run, longitudinal_result).rows
+    growth_result = longitudinal_result.analysis("fig4_growth")
+    growth = growth_result.meta["growth"]
+    spikes = growth_result.rows
+    window = fig4.GROWTH_WINDOW_DAYS
 
     peak_prefixes = max(d.prefixes for d in daily)
     peak_users = max(d.users for d in daily)
@@ -22,12 +24,15 @@ def test_bench_fig4(benchmark, longitudinal_result, results_dir):
     lines = [
         "Figure 4: daily blackholing activity (longitudinal scenario)",
         f"days simulated: {len(daily)}",
-        f"daily providers: first-60-day mean {growth.providers_start:.1f} -> "
-        f"last-60-day mean {growth.providers_end:.1f} (x{growth.provider_growth:.1f}), peak {peak_providers}",
-        f"daily users:     first-60-day mean {growth.users_start:.1f} -> "
-        f"last-60-day mean {growth.users_end:.1f} (x{growth.user_growth:.1f}), peak {peak_users}",
-        f"daily prefixes:  first-60-day mean {growth.prefixes_start:.1f} -> "
-        f"last-60-day mean {growth.prefixes_end:.1f} (x{growth.prefix_growth:.1f}), peak {peak_prefixes}",
+        f"daily providers: first-{window}-day mean {growth.providers_start:.1f} -> "
+        f"last-{window}-day mean {growth.providers_end:.1f} (x{growth.provider_growth:.1f}), "
+        f"peak {peak_providers}",
+        f"daily users:     first-{window}-day mean {growth.users_start:.1f} -> "
+        f"last-{window}-day mean {growth.users_end:.1f} (x{growth.user_growth:.1f}), "
+        f"peak {peak_users}",
+        f"daily prefixes:  first-{window}-day mean {growth.prefixes_start:.1f} -> "
+        f"last-{window}-day mean {growth.prefixes_end:.1f} (x{growth.prefix_growth:.1f}), "
+        f"peak {peak_prefixes}",
         f"spikes detected: {len(spikes)}, annotated with named incidents: {len(annotated)} "
         f"({sorted({s.incident_label for s in annotated})})",
         "",

@@ -1,20 +1,18 @@
 """Benchmark: Figure 5 -- prefixes per blackholing provider and per user type."""
 
-from repro.analysis import fig5
+from repro.analysis import registry
 from repro.topology.types import NetworkType
 
 from bench_helpers import write_result
 
 
 def test_bench_fig5(benchmark, bench_result, results_dir):
-    provider_cdfs, user_cdfs, summary = benchmark(
-        lambda result: (
-            fig5.compute_provider_cdfs(result),
-            fig5.compute_user_cdfs(result),
-            fig5.compute_fig5_summary(result),
-        ),
-        bench_result,
-    )
+    res = benchmark(registry.get("fig5").run, bench_result)
+    cdfs: dict[str, dict[str, list]] = {"providers": {}, "users": {}}
+    for row in res.rows:
+        cdfs[row["plot"]].setdefault(row["group"], []).append((row["value"], row["cdf"]))
+    provider_cdfs, user_cdfs = cdfs["providers"], cdfs["users"]
+    summary = res.meta["summary"]
 
     def describe(points) -> str:
         if not points:

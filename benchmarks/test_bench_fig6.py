@@ -1,20 +1,18 @@
 """Benchmark: Figure 6 -- blackholing providers and users per country."""
 
-from repro.analysis import fig6
+from repro.analysis import registry
 
 from bench_helpers import write_result
 
 
 def test_bench_fig6(benchmark, bench_result, results_dir):
-    provider_counts, user_counts = benchmark(
-        lambda result: (
-            fig6.compute_provider_countries(result),
-            fig6.compute_user_countries(result),
-        ),
-        bench_result,
-    )
-    top_providers = fig6.top_countries(provider_counts, count=5)
-    top_users = fig6.top_countries(user_counts, count=5)
+    res = benchmark(registry.get("fig6").run, bench_result)
+    counts: dict[str, dict[str, int]] = {"providers": {}, "users": {}}
+    for row in res.rows:
+        counts[row["group"]][row["country"]] = row["networks"]
+    provider_counts, user_counts = counts["providers"], counts["users"]
+    top_providers = res.meta["top_provider_countries"]
+    top_users = res.meta["top_user_countries"]
     lines = [
         "Figure 6(a): blackholing provider ASes per country (top 5)",
         *(f"  {country}: {count}" for country, count in top_providers),

@@ -1,20 +1,19 @@
 """Benchmark: Figure 7 -- services, providers per event, propagation distance."""
 
-from repro.analysis import fig7
+from repro.analysis import registry
 
 from bench_helpers import write_result
 
 
 def test_bench_fig7(benchmark, bench_result, results_dir):
-    services, per_event, distances, summary = benchmark(
-        lambda result: (
-            fig7.compute_service_histogram(result),
-            fig7.compute_providers_per_event(result),
-            fig7.compute_as_distance_histogram(result),
-            fig7.compute_fig7_summary(result),
-        ),
-        bench_result,
-    )
+    res = benchmark(registry.get("fig7").run, bench_result)
+    histograms: dict[str, dict] = {"services": {}, "providers_per_event": {}, "as_distance": {}}
+    for row in res.rows:
+        histograms[row["plot"]][row["bucket"]] = row["count"]
+    services = histograms["services"]
+    per_event = histograms["providers_per_event"]
+    distances = histograms["as_distance"]
+    summary = res.meta["summary"]
 
     top_services = sorted(services.items(), key=lambda item: -item[1])[:6]
     event_total = sum(per_event.values())

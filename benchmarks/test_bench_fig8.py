@@ -1,14 +1,17 @@
 """Benchmark: Figure 8 -- blackholing event durations (ungrouped vs grouped)."""
 
-from repro.analysis import fig8
+from repro.analysis import fig8, registry
 
 from bench_helpers import write_result
 
 
 def test_bench_fig8(benchmark, bench_result, results_dir):
-    summary = benchmark(fig8.compute_duration_summary, bench_result)
-    cdfs = fig8.compute_duration_cdfs(bench_result)
-    histogram = fig8.compute_duration_histogram(bench_result, bin_hours=24.0)
+    res = benchmark(registry.get("fig8").run, bench_result)
+    summary = res.meta["summary"]
+    histogram = res.meta["histogram_hours"]
+    cdfs: dict[str, list] = {"ungrouped": [], "grouped": []}
+    for row in res.rows:
+        cdfs[row["series"]].append((row["duration"], row["cdf"]))
 
     def quantile(points, q):
         if not points:
@@ -26,7 +29,8 @@ def test_bench_fig8(benchmark, bench_result, results_dir):
         f"  grouped periods <= 1 minute:  {summary.grouped_under_one_minute_fraction:.0%}",
         f"  ungrouped events > 16 hours:  {summary.ungrouped_over_16h_fraction:.1%}",
         f"  grouped periods > 16 hours:   {summary.grouped_over_16h_fraction:.0%}",
-        "Figure 8(b): ungrouped duration histogram (1-day bins, first entries)",
+        f"Figure 8(b): ungrouped duration histogram ({fig8.BIN_HOURS:g}-hour bins, "
+        "first entries)",
         *(
             f"  {int(bucket):>5}h+: {count}"
             for bucket, count in list(sorted(histogram.items()))[:8]

@@ -4,21 +4,22 @@
 9(c): dropped vs forwarded traffic towards blackholed prefixes at an IXP.
 """
 
-from repro.analysis import fig9
+from repro.analysis import registry
 
 from bench_helpers import write_result
 
 
 def test_bench_fig9_traceroutes(benchmark, bench_result, results_dir):
-    measurements = benchmark.pedantic(
-        fig9.compute_traceroute_measurements,
+    res = benchmark.pedantic(
+        registry.get("fig9").run,
         args=(bench_result,),
-        kwargs={"max_requests": 80, "seed": 97},
         rounds=1,
         iterations=1,
     )
-    deltas = fig9.compute_path_deltas(measurements)
-    summary = fig9.compute_efficacy_summary(measurements)
+    deltas: dict[str, list[int]] = {}
+    for row in res.rows:
+        deltas.setdefault(row["metric"], []).append(row["delta"])
+    summary = res.meta["summary"]
 
     def positive_fraction(values):
         return sum(1 for v in values if v > 0) / len(values) if values else 0.0
@@ -27,9 +28,9 @@ def test_bench_fig9_traceroutes(benchmark, bench_result, results_dir):
         "Figure 9(a)/(b): traced path-length differences",
         f"  measurements (destination reachable after): {summary.measurements}",
         f"  IP-level  after-vs-during: mean {summary.mean_ip_hop_shortening:+.2f} hops, "
-        f"positive (path shortened) {positive_fraction(deltas['ip_after_vs_during']):.0%}",
+        f"positive (path shortened) {positive_fraction(deltas.get('ip_after_vs_during')):.0%}",
         f"  IP-level  neighbour-vs-blackholed: positive "
-        f"{positive_fraction(deltas['ip_neighbour_vs_during']):.0%}",
+        f"{positive_fraction(deltas.get('ip_neighbour_vs_during')):.0%}",
         f"  AS-level  after-vs-during: mean {summary.mean_as_hop_shortening:+.2f} hops",
         f"  dropped at destination AS or its upstream: "
         f"{summary.dropped_at_destination_or_upstream_fraction:.0%}",
@@ -52,16 +53,16 @@ def test_bench_fig9_traceroutes(benchmark, bench_result, results_dir):
 
 def test_bench_fig9_ixp_traffic(benchmark, bench_result, results_dir):
     series = benchmark.pedantic(
-        fig9.compute_ixp_traffic_series,
+        registry.get("fig9_traffic").run,
         args=(bench_result,),
         rounds=1,
         iterations=1,
-    )
+    ).rows
     lines = ["Figure 9(c): traffic towards blackholed prefixes at the largest blackholing IXP"]
-    for prefix, entry in series.items():
+    for entry in series:
         lines.append(
-            f"  {prefix}: dropped {entry.total_dropped:.0f} bytes, forwarded "
-            f"{entry.total_forwarded:.0f} bytes ({entry.dropped_fraction:.0%} dropped)"
+            f"  {entry['prefix']}: dropped {entry['dropped']:.0f} bytes, forwarded "
+            f"{entry['forwarded']:.0f} bytes ({entry['dropped_fraction']:.0%} dropped)"
         )
     lines.append("")
     lines.append(
@@ -74,4 +75,4 @@ def test_bench_fig9_ixp_traffic(benchmark, bench_result, results_dir):
     print("\n" + text)
 
     assert series, "no IXP-targeted blackholing in the benchmark scenario"
-    assert any(entry.dropped_fraction > 0.5 for entry in series.values())
+    assert any(entry["dropped_fraction"] > 0.5 for entry in series)

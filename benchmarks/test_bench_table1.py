@@ -4,15 +4,16 @@ Regenerates the per-source peer/prefix counts of Table 1 from the simulated
 collector feeds and benchmarks the aggregation step.
 """
 
-from repro.analysis import table1
+from repro.analysis import registry
+from repro.analysis.pipeline import StudyPipeline
 
 from bench_helpers import write_result
 
 
 def test_bench_table1(benchmark, bench_dataset, results_dir):
-    rows = benchmark(table1.compute_table1, bench_dataset)
-    text = table1.format_table1(rows)
-    text += f"\n\nIPv4 share of observed prefixes: {table1.ipv4_fraction(bench_dataset):.2%}"
+    res = benchmark(registry.get("table1").run, StudyPipeline(bench_dataset).result())
+    rows = res.rows
+    text = res.render()  # the table, then the IPv4 share of observed prefixes
     text += (
         "\n\nPaper (March 2017): RIS 425/313 peers, RV 269/197, PCH 8897/1721, "
         "CDN 3349/1282; CDN contributes by far the most unique prefixes "

@@ -4,7 +4,7 @@ Benchmarks the full dictionary build (scraping + NLP + assembly) and
 regenerates the per-network-type distribution of Table 2.
 """
 
-from repro.analysis import table2
+from repro.analysis import registry
 from repro.dictionary.builder import DictionaryBuilder
 from repro.topology.types import NetworkType
 
@@ -17,13 +17,9 @@ def test_bench_dictionary_build(benchmark, bench_dataset):
 
 
 def test_bench_table2(benchmark, bench_result, results_dir):
-    rows = benchmark(
-        table2.compute_table2,
-        bench_result.dictionary,
-        bench_result.inferred_dictionary,
-        bench_result.topology,
-    )
-    text = table2.format_table2(rows)
+    res = benchmark(registry.get("table2").run, bench_result)
+    rows = res.rows
+    text = res.render()
     text += (
         "\n\nPaper: 307 networks / 292 documented communities in total; "
         "Transit/Access 198 (81 inferred), IXP 49, Content 23 (14), "

@@ -5,15 +5,16 @@ platform (many peers, customer/internal feeds) sees the most providers, while
 PCH-style collectors at IXPs contribute large numbers of unique prefixes.
 """
 
-from repro.analysis import table3
+from repro.analysis import registry
 
 from bench_helpers import write_result
 
 
 def test_bench_table3(benchmark, bench_result, results_dir):
-    rows = benchmark(table3.compute_table3, bench_result)
-    summary = table3.visibility_summary(bench_result)
-    text = table3.format_table3(rows)
+    res = benchmark(registry.get("table3").run, bench_result)
+    rows = res.rows
+    (summary,) = bench_result.analysis("table3_summary").rows
+    text = res.render()
     text += (
         "\n\nHeadline visibility: "
         f"{summary['visible_providers']:.0f} of {summary['dictionary_providers']:.0f} "

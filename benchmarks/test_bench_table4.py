@@ -1,14 +1,15 @@
 """Benchmark: Table 4 -- blackhole visibility per provider network type."""
 
-from repro.analysis import table4
+from repro.analysis import registry
 from repro.topology.types import NetworkType
 
 from bench_helpers import write_result
 
 
 def test_bench_table4(benchmark, bench_result, results_dir):
-    rows = benchmark(table4.compute_table4, bench_result)
-    text = table4.format_table4(rows)
+    res = benchmark(registry.get("table4").run, bench_result)
+    rows = res.rows
+    text = res.render()
     text += (
         "\n\nPaper: Transit/Access 184 providers / 986 users / 80,262 prefixes (~90%), "
         "IXP 25 providers but 673 users / 20,824 prefixes, Content 19/90/2,428, "

@@ -9,7 +9,8 @@ an operator or regulator monitoring the control plane:
   attack and the early Mirai period;
 * streams the collector feeds through the inference engine;
 * prints the daily count of active blackholing providers / users / prefixes
-  as an ASCII time series with the named incidents annotated.
+  (the ``fig4`` analysis) as an ASCII time series, and the spikes the
+  ``fig4_growth`` analysis detects, annotated with the named incidents.
 
 Run with::
 
@@ -18,7 +19,6 @@ Run with::
 
 from __future__ import annotations
 
-from repro.analysis.fig4 import compute_daily_activity, compute_growth, detect_spikes
 from repro.analysis.pipeline import StudyPipeline
 from repro.attacks.incidents import NAMED_INCIDENTS
 from repro.attacks.timeline import AttackTimelineConfig
@@ -39,7 +39,7 @@ def main() -> None:
     dataset = ScenarioSimulator(config).generate()
     result = StudyPipeline(dataset).run()
 
-    daily = compute_daily_activity(result)
+    daily = result.analysis("fig4").rows
     peak = max(d.prefixes for d in daily) or 1
     print("\nDaily blackholing activity (prefixes blackholed per day):")
     print(f"{'day':<12} {'prov':>5} {'users':>6} {'prefixes':>9}  activity")
@@ -48,7 +48,7 @@ def main() -> None:
         date = format_timestamp(day.day)[:10]
         print(f"{date:<12} {day.providers:>5} {day.users:>6} {day.prefixes:>9}  {bar}")
 
-    spikes = detect_spikes(daily, window=5, threshold=1.6)
+    spikes = result.analysis("fig4_growth").rows
     if spikes:
         print("\nDetected spikes:")
         for spike in spikes:
@@ -58,11 +58,14 @@ def main() -> None:
                 f"prefixes (baseline {spike.baseline:.1f}), incident: {label}"
             )
 
-    growth = compute_growth(daily, window_days=5)
+    def mean(days, field: str) -> float:
+        return sum(getattr(day, field) for day in days) / len(days)
+
+    head, tail = daily[:5], daily[-5:]
     print(
         f"\nFirst-5-days vs last-5-days averages: "
-        f"prefixes {growth.prefixes_start:.1f} -> {growth.prefixes_end:.1f}, "
-        f"users {growth.users_start:.1f} -> {growth.users_end:.1f}"
+        f"prefixes {mean(head, 'prefixes'):.1f} -> {mean(tail, 'prefixes'):.1f}, "
+        f"users {mean(head, 'users'):.1f} -> {mean(tail, 'users'):.1f}"
     )
 
     print("\nNamed incidents inside the window:")

@@ -16,11 +16,6 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.analysis.fig9 import (
-    compute_efficacy_summary,
-    compute_path_deltas,
-    compute_traceroute_measurements,
-)
 from repro.analysis.pipeline import StudyPipeline
 from repro.workload import ScenarioConfig, ScenarioSimulator
 
@@ -35,16 +30,19 @@ def _histogram(values: list[int], title: str) -> None:
 
 
 def main() -> None:
-    print("Simulating scenario and inference ...")
+    print("Simulating scenario ...")
     dataset = ScenarioSimulator(ScenarioConfig.small(seed=23)).generate()
-    result = StudyPipeline(dataset).run()
+    # Lazy: the traceroute campaign runs over the scenario's ground-truth
+    # requests, so the fig9 analysis never needs the inference pass.
+    result = StudyPipeline(dataset).result()
 
     print("Running the during/after traceroute campaign ...")
-    measurements = compute_traceroute_measurements(result, max_requests=40, seed=7)
-    print(f"  {len(measurements)} probe measurements over "
-          f"{len({m.request_id for m in measurements})} blackholing events")
+    fig9 = result.analysis("fig9")
+    deltas: dict[str, list[int]] = {}
+    for row in fig9.rows:
+        deltas.setdefault(row["metric"], []).append(row["delta"])
+    summary = fig9.meta["summary"]
 
-    deltas = compute_path_deltas(measurements)
     _histogram(
         deltas["ip_after_vs_during"],
         "IP-level path length difference (after minus during blackholing):",
@@ -54,7 +52,6 @@ def main() -> None:
         "AS-level path length difference (after minus during blackholing):",
     )
 
-    summary = compute_efficacy_summary(measurements)
     print("\nEfficacy summary (host-route blackholings):")
     print(f"  usable measurements:                    {summary.measurements}")
     print(f"  mean IP-hop shortening during blackholing: {summary.mean_ip_hop_shortening:.2f}")

@@ -1,12 +1,15 @@
 """Analyses reproducing every table and figure of the paper's evaluation.
 
-Each module exposes ``compute_*`` functions returning plain data structures
-(rows, histograms, CDF points) and ``format_*`` helpers rendering them as
-text tables, and registers its artifacts with the unified analysis registry
-(:mod:`repro.analysis.registry`): every figure/table is an addressable
-:class:`~repro.analysis.registry.Analysis` computable as
-``result.analysis("fig2")``, across campaign cells via
-``CampaignResult.tabulate(...)``, or from the CLI via ``repro report``.
+Each fig/table module registers its artifacts with the unified analysis
+registry (:mod:`repro.analysis.registry`), and the registered analysis is
+the only public way to compute one: ``result.analysis("fig4")`` (or
+``registry.get("fig4").run(result)``) returns an
+:class:`~repro.analysis.registry.AnalysisResult` whose ``rows`` are the
+typed rows (CDF points, histogram buckets, table rows) and whose ``meta``
+holds the headline numbers the paper quotes beside the artifact, e.g.
+``result.analysis("fig4_growth").meta["growth"]``.  The same artifacts are
+tabulated across campaign cells via ``CampaignResult.tabulate(...)`` and
+computed from the CLI via ``repro report``.
 
 * :mod:`repro.analysis.pipeline` -- the shared scenario -> dictionary ->
   inference pipeline all analyses consume.

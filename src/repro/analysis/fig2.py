@@ -15,13 +15,7 @@ from repro.analysis import registry
 from repro.analysis.pipeline import StudyResult
 from repro.dictionary.inference import ExtendedDictionaryInference
 
-__all__ = [
-    "Fig2Summary",
-    "compute_fig2_summary",
-    "compute_fig2_surface",
-    "fig2_analysis",
-    "fig2_surface_analysis",
-]
+__all__ = ["Fig2Summary", "fig2_analysis", "fig2_surface_analysis"]
 
 
 @dataclass(frozen=True)
@@ -40,44 +34,6 @@ class Fig2Summary:
     inferred_ases: int
 
 
-def compute_fig2_surface(result: StudyResult) -> list[dict]:
-    """The (community index, prefix length, fraction, label) points."""
-    extension = ExtendedDictionaryInference(result.dictionary)
-    return extension.figure2_surface(
-        result.usage_stats, non_blackhole=result.non_blackhole_communities
-    )
-
-
-def compute_fig2_summary(result: StudyResult) -> Fig2Summary:
-    stats = result.usage_stats
-    documented = result.dictionary
-
-    blackhole_fracs: list[float] = []
-    non_blackhole_fracs: list[float] = []
-    for community in stats.communities():
-        specific = stats.more_specific_fraction(community)
-        if documented.is_blackhole_community(community):
-            blackhole_fracs.append(specific)
-        elif community in result.non_blackhole_communities:
-            non_blackhole_fracs.append(1.0 - specific)
-
-    inferred_entries = result.inferred_dictionary.entries()
-    return Fig2Summary(
-        blackhole_communities=len(blackhole_fracs),
-        non_blackhole_communities=len(non_blackhole_fracs),
-        blackhole_more_specific_fraction=(
-            sum(blackhole_fracs) / len(blackhole_fracs) if blackhole_fracs else 0.0
-        ),
-        non_blackhole_at_most_24_fraction=(
-            sum(non_blackhole_fracs) / len(non_blackhole_fracs)
-            if non_blackhole_fracs
-            else 0.0
-        ),
-        inferred_communities=result.inferred_dictionary.community_count(),
-        inferred_ases=result.inferred_dictionary.provider_count(),
-    )
-
-
 @registry.analysis(
     "fig2",
     title="Figure 2: blackhole vs non-blackhole community separation",
@@ -90,7 +46,33 @@ def compute_fig2_summary(result: StudyResult) -> Fig2Summary:
 )
 def fig2_analysis(result: StudyResult) -> registry.AnalysisResult:
     """Figure 2's separation statistics as a registered artifact."""
-    summary = compute_fig2_summary(result)
+    stats = result.usage_stats
+    documented = result.dictionary
+
+    blackhole_fracs: list[float] = []
+    non_blackhole_fracs: list[float] = []
+    for community in stats.communities():
+        specific = stats.more_specific_fraction(community)
+        if documented.is_blackhole_community(community):
+            blackhole_fracs.append(specific)
+        elif community in result.non_blackhole_communities:
+            non_blackhole_fracs.append(1.0 - specific)
+
+    inferred = result.inferred_dictionary
+    summary = Fig2Summary(
+        blackhole_communities=len(blackhole_fracs),
+        non_blackhole_communities=len(non_blackhole_fracs),
+        blackhole_more_specific_fraction=(
+            sum(blackhole_fracs) / len(blackhole_fracs) if blackhole_fracs else 0.0
+        ),
+        non_blackhole_at_most_24_fraction=(
+            sum(non_blackhole_fracs) / len(non_blackhole_fracs)
+            if non_blackhole_fracs
+            else 0.0
+        ),
+        inferred_communities=inferred.community_count(),
+        inferred_ases=inferred.provider_count(),
+    )
     return registry.AnalysisResult(
         name="fig2",
         title="Figure 2: blackhole vs non-blackhole community separation",
@@ -106,7 +88,9 @@ def fig2_analysis(result: StudyResult) -> registry.AnalysisResult:
 )
 def fig2_surface_analysis(result: StudyResult) -> registry.AnalysisResult:
     """The (community, prefix length, fraction) surface behind Figure 2."""
-    rows = compute_fig2_surface(result)
+    rows = ExtendedDictionaryInference(result.dictionary).figure2_surface(
+        result.usage_stats, non_blackhole=result.non_blackhole_communities
+    )
     return registry.AnalysisResult(
         name="fig2_surface",
         title="Figure 2: per-community prefix-length usage surface",

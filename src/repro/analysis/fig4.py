@@ -20,9 +20,6 @@ from repro.netutils.timeutils import SECONDS_PER_DAY, day_start
 __all__ = [
     "GrowthSummary",
     "SpikeAnnotation",
-    "compute_daily_activity",
-    "compute_growth",
-    "detect_spikes",
     "fig4_analysis",
     "fig4_growth_analysis",
 ]
@@ -62,19 +59,20 @@ class SpikeAnnotation:
     incident_label: str | None
 
 
-def compute_daily_activity(result: StudyResult) -> list[DailyActivity]:
-    dataset = result.dataset
-    return result.report.daily_activity(dataset.start, dataset.end)
+#: Days averaged at each end of the series for the growth factors.
+GROWTH_WINDOW_DAYS = 30
+#: Trailing days whose mean prefix count is a spike's baseline.
+SPIKE_WINDOW = 14
+#: A day is a spike when its prefix count reaches this multiple of the baseline.
+SPIKE_THRESHOLD = 2.0
 
 
-def compute_growth(
-    daily: list[DailyActivity], window_days: int = 30
-) -> GrowthSummary:
-    """Average the first and last ``window_days`` days of the series."""
+def _growth(daily: list[DailyActivity]) -> GrowthSummary:
+    """Average the first and last :data:`GROWTH_WINDOW_DAYS` days of the series."""
     if not daily:
         return GrowthSummary(0, 0, 0, 0, 0, 0)
-    head = daily[:window_days]
-    tail = daily[-window_days:]
+    head = daily[:GROWTH_WINDOW_DAYS]
+    tail = daily[-GROWTH_WINDOW_DAYS:]
 
     def mean(values: list[int]) -> float:
         return sum(values) / len(values) if values else 0.0
@@ -89,40 +87,6 @@ def compute_growth(
     )
 
 
-def detect_spikes(
-    daily: list[DailyActivity],
-    window: int = 14,
-    threshold: float = 2.0,
-) -> list[SpikeAnnotation]:
-    """Days whose blackholed-prefix count exceeds ``threshold`` x the local
-    trailing average, annotated with the named incident active that day."""
-    spikes: list[SpikeAnnotation] = []
-    incident_days: dict[float, str] = {}
-    for incident in NAMED_INCIDENTS:
-        if incident.sustained:
-            continue
-        for offset in range(incident.duration_days):
-            incident_days[day_start(incident.timestamp) + offset * SECONDS_PER_DAY] = (
-                incident.label
-            )
-
-    for index, activity in enumerate(daily):
-        history = daily[max(0, index - window) : index]
-        if not history:
-            continue
-        baseline = sum(d.prefixes for d in history) / len(history)
-        if baseline > 0 and activity.prefixes >= threshold * baseline:
-            spikes.append(
-                SpikeAnnotation(
-                    day=activity.day,
-                    prefixes=activity.prefixes,
-                    baseline=baseline,
-                    incident_label=incident_days.get(day_start(activity.day)),
-                )
-            )
-    return spikes
-
-
 @registry.analysis(
     "fig4",
     title="Figure 4: daily blackholing activity (providers / users / prefixes)",
@@ -130,8 +94,8 @@ def detect_spikes(
 )
 def fig4_analysis(result: StudyResult) -> registry.AnalysisResult:
     """The three per-day time series of Figure 4 as one registered artifact."""
-    daily = compute_daily_activity(result)
-    growth = compute_growth(daily)
+    daily = result.report.daily_activity(result.dataset.start, result.dataset.end)
+    growth = _growth(daily)
     return registry.AnalysisResult(
         name="fig4",
         title="Figure 4: daily blackholing activity (providers / users / prefixes)",
@@ -152,10 +116,37 @@ def fig4_analysis(result: StudyResult) -> registry.AnalysisResult:
     needs=("report",),
 )
 def fig4_growth_analysis(result: StudyResult) -> registry.AnalysisResult:
-    """Section 6's growth factors plus the detected, annotated spikes."""
-    daily = compute_daily_activity(result)
-    growth = compute_growth(daily)
-    spikes = detect_spikes(daily)
+    """Section 6's growth factors plus the detected, annotated spikes.
+
+    A spike is a day whose blackholed-prefix count reaches
+    :data:`SPIKE_THRESHOLD` times the mean of the :data:`SPIKE_WINDOW`
+    preceding days, annotated with the named incident active that day.
+    """
+    daily = result.report.daily_activity(result.dataset.start, result.dataset.end)
+    incident_days: dict[float, str] = {}
+    for incident in NAMED_INCIDENTS:
+        if incident.sustained:
+            continue
+        for offset in range(incident.duration_days):
+            incident_days[day_start(incident.timestamp) + offset * SECONDS_PER_DAY] = (
+                incident.label
+            )
+    spikes: list[SpikeAnnotation] = []
+    for index, activity in enumerate(daily):
+        history = daily[max(0, index - SPIKE_WINDOW) : index]
+        if not history:
+            continue
+        baseline = sum(d.prefixes for d in history) / len(history)
+        if baseline > 0 and activity.prefixes >= SPIKE_THRESHOLD * baseline:
+            spikes.append(
+                SpikeAnnotation(
+                    day=activity.day,
+                    prefixes=activity.prefixes,
+                    baseline=baseline,
+                    incident_label=incident_days.get(day_start(activity.day)),
+                )
+            )
+    growth = _growth(daily)
     return registry.AnalysisResult(
         name="fig4_growth",
         title="Figure 4: growth factors and incident-correlated spikes",

@@ -16,48 +16,7 @@ from repro.analysis.common import cdf_points, classify_provider, classify_user
 from repro.analysis.pipeline import StudyResult
 from repro.topology.types import NetworkType
 
-__all__ = [
-    "Fig5Summary",
-    "compute_fig5_summary",
-    "compute_provider_cdfs",
-    "compute_user_cdfs",
-    "fig5_analysis",
-]
-
-
-def compute_provider_cdfs(result: StudyResult) -> dict[str, list[tuple[float, float]]]:
-    """Prefix-count CDFs per provider group (Transit/Access vs IXP)."""
-    topology = result.topology
-    per_provider: dict[str, set] = defaultdict(set)
-    provider_label: dict[str, str] = {}
-    for observation in result.observations:
-        per_provider[observation.provider_key].add(observation.prefix)
-        provider_label[observation.provider_key] = classify_provider(observation, topology)
-
-    groups: dict[str, list[float]] = defaultdict(list)
-    for provider, prefixes in per_provider.items():
-        label = provider_label[provider]
-        if label == NetworkType.IXP.value:
-            groups["IXP"].append(len(prefixes))
-        elif label == NetworkType.TRANSIT_ACCESS.value:
-            groups["Transit/Access"].append(len(prefixes))
-        else:
-            groups["Other"].append(len(prefixes))
-    return {label: cdf_points(values) for label, values in groups.items()}
-
-
-def compute_user_cdfs(result: StudyResult) -> dict[str, list[tuple[float, float]]]:
-    """Prefix-count CDFs per user network type."""
-    topology = result.topology
-    per_user: dict[int, set] = defaultdict(set)
-    for observation in result.observations:
-        if observation.user_asn is not None:
-            per_user[observation.user_asn].add(observation.prefix)
-
-    groups: dict[str, list[float]] = defaultdict(list)
-    for user, prefixes in per_user.items():
-        groups[classify_user(user, topology)].append(len(prefixes))
-    return {label: cdf_points(values) for label, values in groups.items()}
+__all__ = ["Fig5Summary", "fig5_analysis"]
 
 
 @dataclass(frozen=True)
@@ -70,47 +29,8 @@ class Fig5Summary:
     content_prefix_share: float
 
 
-def compute_fig5_summary(result: StudyResult) -> Fig5Summary:
-    topology = result.topology
-    per_provider: dict[str, set] = defaultdict(set)
-    provider_is_ixp: dict[str, bool] = {}
-    per_user: dict[int, set] = defaultdict(set)
-    for observation in result.observations:
-        per_provider[observation.provider_key].add(observation.prefix)
-        provider_is_ixp[observation.provider_key] = observation.ixp_name is not None
-        if observation.user_asn is not None:
-            per_user[observation.user_asn].add(observation.prefix)
-
-    transit = [
-        len(prefixes)
-        for provider, prefixes in per_provider.items()
-        if not provider_is_ixp[provider]
-    ]
-    ixps = [
-        len(prefixes)
-        for provider, prefixes in per_provider.items()
-        if provider_is_ixp[provider]
-    ]
-    single_transit = sum(1 for count in transit if count == 1) / len(transit) if transit else 0.0
-    single_ixp = sum(1 for count in ixps if count == 1) / len(ixps) if ixps else 0.0
-
-    content_users = [
-        user
-        for user in per_user
-        if classify_user(user, topology) == NetworkType.CONTENT.value
-    ]
-    all_prefixes = set().union(*per_user.values()) if per_user else set()
-    content_prefixes = (
-        set().union(*(per_user[user] for user in content_users)) if content_users else set()
-    )
-    return Fig5Summary(
-        providers_with_single_prefix_fraction=single_transit,
-        ixps_with_single_prefix_fraction=single_ixp,
-        content_user_fraction=len(content_users) / len(per_user) if per_user else 0.0,
-        content_prefix_share=(
-            len(content_prefixes) / len(all_prefixes) if all_prefixes else 0.0
-        ),
-    )
+def _single_prefix_fraction(counts: list[int]) -> float:
+    return sum(1 for count in counts if count == 1) / len(counts) if counts else 0.0
 
 
 @registry.analysis(
@@ -122,22 +42,68 @@ def fig5_analysis(result: StudyResult) -> registry.AnalysisResult:
     """Both Figure 5 CDF families as one registered artifact.
 
     Each row is one CDF point: ``plot`` is ``"providers"`` (5a) or
-    ``"users"`` (5b), ``group`` the network-type split of that plot.
+    ``"users"`` (5b), ``group`` the network-type split of that plot.  The
+    CDFs split providers by :func:`classify_provider` (Transit/Access, IXP,
+    Other); the summary splits them by whether the observation names an IXP.
     """
+    topology = result.topology
+    per_provider: dict[str, set] = defaultdict(set)
+    provider_label: dict[str, str] = {}
+    provider_is_ixp: dict[str, bool] = {}
+    per_user: dict[int, set] = defaultdict(set)
+    for observation in result.observations:
+        key = observation.provider_key
+        per_provider[key].add(observation.prefix)
+        provider_label[key] = classify_provider(observation, topology)
+        provider_is_ixp[key] = observation.ixp_name is not None
+        if observation.user_asn is not None:
+            per_user[observation.user_asn].add(observation.prefix)
+
+    provider_groups: dict[str, list[float]] = defaultdict(list)
+    for provider, prefixes in per_provider.items():
+        label = provider_label[provider]
+        if label == NetworkType.IXP.value:
+            provider_groups["IXP"].append(len(prefixes))
+        elif label == NetworkType.TRANSIT_ACCESS.value:
+            provider_groups["Transit/Access"].append(len(prefixes))
+        else:
+            provider_groups["Other"].append(len(prefixes))
+    user_label = {user: classify_user(user, topology) for user in per_user}
+    user_groups: dict[str, list[float]] = defaultdict(list)
+    for user, prefixes in per_user.items():
+        user_groups[user_label[user]].append(len(prefixes))
+
     rows: list[dict] = []
-    for plot, cdfs in (
-        ("providers", compute_provider_cdfs(result)),
-        ("users", compute_user_cdfs(result)),
-    ):
-        for group in sorted(cdfs):
-            for value, fraction in cdfs[group]:
+    for plot, groups in (("providers", provider_groups), ("users", user_groups)):
+        for group in sorted(groups):
+            for value, fraction in cdf_points(groups[group]):
                 rows.append(
                     {"plot": plot, "group": group, "value": value, "cdf": fraction}
                 )
+
+    content_users = [
+        user for user, label in user_label.items() if label == NetworkType.CONTENT.value
+    ]
+    all_prefixes = set().union(*per_user.values()) if per_user else set()
+    content_prefixes = (
+        set().union(*(per_user[user] for user in content_users)) if content_users else set()
+    )
+    summary = Fig5Summary(
+        providers_with_single_prefix_fraction=_single_prefix_fraction(
+            [len(p) for key, p in per_provider.items() if not provider_is_ixp[key]]
+        ),
+        ixps_with_single_prefix_fraction=_single_prefix_fraction(
+            [len(p) for key, p in per_provider.items() if provider_is_ixp[key]]
+        ),
+        content_user_fraction=len(content_users) / len(per_user) if per_user else 0.0,
+        content_prefix_share=(
+            len(content_prefixes) / len(all_prefixes) if all_prefixes else 0.0
+        ),
+    )
     return registry.AnalysisResult(
         name="fig5",
         title="Figure 5: blackholed prefixes per provider and per user type (CDFs)",
         headers=("plot", "group", "value", "cdf"),
         rows=tuple(rows),
-        meta={"summary": compute_fig5_summary(result)},
+        meta={"summary": summary},
     )

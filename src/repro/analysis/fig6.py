@@ -15,12 +15,10 @@ from repro.analysis import registry
 from repro.analysis.pipeline import StudyResult
 from repro.topology.generator import InternetTopology
 
-__all__ = [
-    "compute_provider_countries",
-    "compute_user_countries",
-    "fig6_analysis",
-    "top_countries",
-]
+__all__ = ["fig6_analysis"]
+
+#: Countries listed in the ``top_*_countries`` meta entries.
+TOP_COUNTRIES = 5
 
 
 def _country_of(asn: int | None, ixp_name: str | None, topology: InternetTopology) -> str | None:
@@ -39,42 +37,12 @@ def _country_of(asn: int | None, ixp_name: str | None, topology: InternetTopolog
     return None
 
 
-def compute_provider_countries(result: StudyResult) -> dict[str, int]:
-    """Number of distinct blackholing providers registered in each country."""
-    topology = result.topology
-    seen: dict[str, str] = {}
-    for observation in result.observations:
-        if observation.provider_key in seen:
-            continue
-        country = _country_of(observation.provider_asn, observation.ixp_name, topology)
-        if country is not None:
-            seen[observation.provider_key] = country
+def _ranked(countries: dict) -> list[tuple[str, int]]:
+    """Networks per country, most first (ties broken alphabetically)."""
     counts: dict[str, int] = defaultdict(int)
-    for country in seen.values():
+    for country in countries.values():
         counts[country] += 1
-    return dict(counts)
-
-
-def compute_user_countries(result: StudyResult) -> dict[str, int]:
-    """Number of distinct blackholing users registered in each country."""
-    topology = result.topology
-    seen: dict[int, str] = {}
-    for observation in result.observations:
-        user = observation.user_asn
-        if user is None or user in seen:
-            continue
-        country = _country_of(user, None, topology)
-        if country is not None:
-            seen[user] = country
-    counts: dict[str, int] = defaultdict(int)
-    for country in seen.values():
-        counts[country] += 1
-    return dict(counts)
-
-
-def top_countries(counts: dict[str, int], count: int = 5) -> list[tuple[str, int]]:
-    """The top countries by number of networks (ties broken alphabetically)."""
-    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:count]
+    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
 
 
 @registry.analysis(
@@ -83,14 +51,26 @@ def top_countries(counts: dict[str, int], count: int = 5) -> list[tuple[str, int
     needs=("observations",),
 )
 def fig6_analysis(result: StudyResult) -> registry.AnalysisResult:
-    """Per-country provider/user counts as one registered artifact."""
-    providers = compute_provider_countries(result)
-    users = compute_user_countries(result)
+    """Distinct provider/user networks per registered country as one artifact."""
+    topology = result.topology
+    provider_country: dict[str, str] = {}
+    user_country: dict[int, str] = {}
+    for observation in result.observations:
+        provider = observation.provider_key
+        if provider not in provider_country:
+            country = _country_of(observation.provider_asn, observation.ixp_name, topology)
+            if country is not None:
+                provider_country[provider] = country
+        user = observation.user_asn
+        if user is not None and user not in user_country:
+            country = _country_of(user, None, topology)
+            if country is not None:
+                user_country[user] = country
+    providers = _ranked(provider_country)
+    users = _ranked(user_country)
     rows: list[dict] = []
-    for group, counts in (("providers", providers), ("users", users)):
-        for country, networks in sorted(
-            counts.items(), key=lambda item: (-item[1], item[0])
-        ):
+    for group, ranked in (("providers", providers), ("users", users)):
+        for country, networks in ranked:
             rows.append({"group": group, "country": country, "networks": networks})
     return registry.AnalysisResult(
         name="fig6",
@@ -98,7 +78,7 @@ def fig6_analysis(result: StudyResult) -> registry.AnalysisResult:
         headers=("group", "country", "networks"),
         rows=tuple(rows),
         meta={
-            "top_provider_countries": top_countries(providers),
-            "top_user_countries": top_countries(users),
+            "top_provider_countries": providers[:TOP_COUNTRIES],
+            "top_user_countries": users[:TOP_COUNTRIES],
         },
     )

@@ -15,45 +15,12 @@ from dataclasses import dataclass
 
 from repro.analysis import registry
 from repro.analysis.pipeline import StudyResult
-from repro.core.grouping import correlate_prefix_events
 from repro.dataplane.scans import ScanDataset
 
-__all__ = [
-    "Fig7Summary",
-    "compute_as_distance_histogram",
-    "compute_fig7_summary",
-    "compute_providers_per_event",
-    "compute_service_histogram",
-    "fig7_analysis",
-]
+__all__ = ["Fig7Summary", "fig7_analysis"]
 
-
-def compute_service_histogram(
-    result: StudyResult, scans: ScanDataset | None = None
-) -> dict[str, int]:
-    """Figure 7(a): blackholed prefixes per exposed service."""
-    scans = scans or ScanDataset(seed=result.dataset.config.seed ^ 0x5CA7)
-    prefixes = result.report.ipv4_prefixes()
-    records = scans.scan_prefixes(prefixes)
-    return scans.service_histogram(records)
-
-
-def compute_providers_per_event(result: StudyResult) -> dict[int, int]:
-    """Figure 7(b): histogram of #providers per blackholing event."""
-    histogram: dict[int, int] = defaultdict(int)
-    for event in result.events:
-        histogram[event.provider_count] += 1
-    return dict(histogram)
-
-
-def compute_as_distance_histogram(result: StudyResult) -> dict[str, int]:
-    """Figure 7(c): AS distance between collector and blackholing provider.
-
-    As in the paper, only observations of communities attributable to a
-    single AS (ISP providers) or to a confirmed IXP are included; the
-    "no-path" bucket holds bundling-only detections.
-    """
-    return result.report.as_distance_histogram()
+#: XORed into the scenario seed to seed the simulated scan dataset.
+SCAN_SEED_SALT = 0x5CA7
 
 
 @dataclass(frozen=True)
@@ -68,33 +35,6 @@ class Fig7Summary:
     propagated_beyond_provider_fraction: float
 
 
-def compute_fig7_summary(
-    result: StudyResult, scans: ScanDataset | None = None
-) -> Fig7Summary:
-    service_histogram = compute_service_histogram(result, scans)
-    prefix_total = max(1, len(result.report.ipv4_prefixes()))
-    providers_per_event = compute_providers_per_event(result)
-    event_total = max(1, sum(providers_per_event.values()))
-    multi = sum(count for providers, count in providers_per_event.items() if providers > 1)
-
-    distance_histogram = compute_as_distance_histogram(result)
-    distance_total = max(1, sum(distance_histogram.values()))
-    no_path = distance_histogram.get("no-path", 0)
-    beyond = sum(
-        count
-        for bucket, count in distance_histogram.items()
-        if bucket not in ("no-path", "0") and int(bucket) >= 1
-    )
-    return Fig7Summary(
-        http_prefix_fraction=service_histogram.get("HTTP", 0) / prefix_total,
-        no_service_fraction=service_histogram.get("NONE", 0) / prefix_total,
-        multi_provider_event_fraction=multi / event_total,
-        max_providers_per_event=max(providers_per_event) if providers_per_event else 0,
-        no_path_fraction=no_path / distance_total,
-        propagated_beyond_provider_fraction=beyond / distance_total,
-    )
-
-
 @registry.analysis(
     "fig7",
     title="Figure 7: exposed services, providers per event, AS distance",
@@ -103,21 +43,53 @@ def compute_fig7_summary(
 def fig7_analysis(result: StudyResult) -> registry.AnalysisResult:
     """All three Figure 7 histograms as one registered artifact.
 
-    ``plot`` selects the sub-figure: ``services`` (7a), ``providers_per_event``
-    (7b) or ``as_distance`` (7c); ``bucket`` is that plot's x value.
+    ``plot`` selects the sub-figure: ``services`` (7a, blackholed prefixes
+    per exposed service from the scan-data join), ``providers_per_event``
+    (7b) or ``as_distance`` (7c, AS distance between collector and provider
+    over single-AS and confirmed-IXP communities; the "no-path" bucket holds
+    bundling-only detections); ``bucket`` is that plot's x value.
     """
+    report = result.report
+    prefixes = report.ipv4_prefixes()
+    scans = ScanDataset(seed=result.dataset.config.seed ^ SCAN_SEED_SALT)
+    services = scans.service_histogram(scans.scan_prefixes(prefixes))
+    per_event: dict[int, int] = defaultdict(int)
+    for event in result.events:
+        per_event[event.provider_count] += 1
+    distances = report.as_distance_histogram()
+
     rows: list[dict] = []
     for plot, histogram in (
-        ("services", compute_service_histogram(result)),
-        ("providers_per_event", compute_providers_per_event(result)),
-        ("as_distance", compute_as_distance_histogram(result)),
+        ("services", services),
+        ("providers_per_event", dict(per_event)),
+        ("as_distance", distances),
     ):
         for bucket, count in sorted(histogram.items(), key=lambda item: str(item[0])):
             rows.append({"plot": plot, "bucket": bucket, "count": count})
+
+    prefix_total = max(1, len(prefixes))
+    event_total = max(1, sum(per_event.values()))
+    distance_total = max(1, sum(distances.values()))
+    beyond = sum(
+        count
+        for bucket, count in distances.items()
+        if bucket not in ("no-path", "0") and int(bucket) >= 1
+    )
+    summary = Fig7Summary(
+        http_prefix_fraction=services.get("HTTP", 0) / prefix_total,
+        no_service_fraction=services.get("NONE", 0) / prefix_total,
+        multi_provider_event_fraction=(
+            sum(count for providers, count in per_event.items() if providers > 1)
+            / event_total
+        ),
+        max_providers_per_event=max(per_event) if per_event else 0,
+        no_path_fraction=distances.get("no-path", 0) / distance_total,
+        propagated_beyond_provider_fraction=beyond / distance_total,
+    )
     return registry.AnalysisResult(
         name="fig7",
         title="Figure 7: exposed services, providers per event, AS distance",
         headers=("plot", "bucket", "count"),
         rows=tuple(rows),
-        meta={"summary": compute_fig7_summary(result)},
+        meta={"summary": summary},
     )

@@ -14,46 +14,14 @@ from dataclasses import dataclass
 from repro.analysis import registry
 from repro.analysis.common import cdf_points
 from repro.analysis.pipeline import StudyResult
-from repro.core.grouping import BlackholeEvent, event_durations, group_into_periods
+from repro.core.grouping import event_durations, group_into_periods
 
-__all__ = [
-    "DurationSummary",
-    "compute_duration_cdfs",
-    "compute_duration_histogram",
-    "compute_duration_summary",
-    "fig8_analysis",
-]
+__all__ = ["DurationSummary", "fig8_analysis"]
 
-
-def _grouped_events(result: StudyResult, timeout: float) -> list[BlackholeEvent]:
-    """Grouped periods, reusing the pipeline's cached artifact when the
-    requested timeout matches the one the pipeline grouped with."""
-    if timeout == result.context.grouping_timeout:
-        return result.grouped_periods
-    return group_into_periods(result.observations, timeout=timeout)
-
-
-def compute_duration_cdfs(
-    result: StudyResult, timeout: float = 300.0
-) -> dict[str, list[tuple[float, float]]]:
-    """Ungrouped vs grouped duration CDFs (seconds)."""
-    ungrouped = event_durations(result.observations)
-    grouped = event_durations(_grouped_events(result, timeout))
-    return {
-        "ungrouped": cdf_points(ungrouped),
-        "grouped": cdf_points(grouped),
-    }
-
-
-def compute_duration_histogram(
-    result: StudyResult, bin_hours: float = 6.0
-) -> dict[float, int]:
-    """Histogram of ungrouped durations in ``bin_hours``-wide buckets."""
-    histogram: dict[float, int] = {}
-    for duration in event_durations(result.observations):
-        bucket = math.floor(duration / (bin_hours * 3600.0)) * bin_hours
-        histogram[bucket] = histogram.get(bucket, 0) + 1
-    return dict(sorted(histogram.items()))
+#: Grouping timeout (seconds) of the "grouped" series: the paper's 5 minutes.
+GROUPING_TIMEOUT = 300.0
+#: Bucket width (hours) of the ungrouped-duration histogram (Figure 8(b)).
+BIN_HOURS = 6.0
 
 
 @dataclass(frozen=True)
@@ -68,25 +36,10 @@ class DurationSummary:
     grouped_over_16h_fraction: float
 
 
-def compute_duration_summary(result: StudyResult, timeout: float = 300.0) -> DurationSummary:
-    ungrouped = event_durations(result.observations)
-    grouped = event_durations(_grouped_events(result, timeout))
-
-    def fraction(values: list[float], predicate) -> float:
-        if not values:
-            return 0.0
-        return sum(1 for value in values if predicate(value)) / len(values)
-
-    minute = 60.0
-    sixteen_hours = 16 * 3600.0
-    return DurationSummary(
-        ungrouped_events=len(ungrouped),
-        grouped_events=len(grouped),
-        ungrouped_under_one_minute_fraction=fraction(ungrouped, lambda d: d <= minute),
-        grouped_under_one_minute_fraction=fraction(grouped, lambda d: d <= minute),
-        ungrouped_over_16h_fraction=fraction(ungrouped, lambda d: d > sixteen_hours),
-        grouped_over_16h_fraction=fraction(grouped, lambda d: d > sixteen_hours),
-    )
+def _fraction(values: list[float], predicate) -> float:
+    if not values:
+        return 0.0
+    return sum(1 for value in values if predicate(value)) / len(values)
 
 
 @registry.analysis(
@@ -95,18 +48,43 @@ def compute_duration_summary(result: StudyResult, timeout: float = 300.0) -> Dur
     needs=("observations", "grouped_periods"),
 )
 def fig8_analysis(result: StudyResult) -> registry.AnalysisResult:
-    """Figure 8's duration CDFs, with the histogram and summary as meta."""
+    """Figure 8's duration CDFs, with the histogram and summary as meta.
+
+    The grouped series always uses :data:`GROUPING_TIMEOUT`: the pipeline's
+    cached periods when it grouped with that timeout, a regrouping of the
+    observations otherwise.
+    """
+    ungrouped = event_durations(result.observations)
+    if result.context.grouping_timeout == GROUPING_TIMEOUT:
+        periods = result.grouped_periods
+    else:
+        periods = group_into_periods(result.observations, timeout=GROUPING_TIMEOUT)
+    grouped = event_durations(periods)
+
     rows: list[dict] = []
-    for series, points in compute_duration_cdfs(result).items():
-        for duration, fraction in points:
+    for series, durations in (("ungrouped", ungrouped), ("grouped", grouped)):
+        for duration, fraction in cdf_points(durations):
             rows.append({"series": series, "duration": duration, "cdf": fraction})
+
+    histogram: dict[float, int] = {}
+    for duration in ungrouped:
+        bucket = math.floor(duration / (BIN_HOURS * 3600.0)) * BIN_HOURS
+        histogram[bucket] = histogram.get(bucket, 0) + 1
+
+    minute = 60.0
+    sixteen_hours = 16 * 3600.0
+    summary = DurationSummary(
+        ungrouped_events=len(ungrouped),
+        grouped_events=len(grouped),
+        ungrouped_under_one_minute_fraction=_fraction(ungrouped, lambda d: d <= minute),
+        grouped_under_one_minute_fraction=_fraction(grouped, lambda d: d <= minute),
+        ungrouped_over_16h_fraction=_fraction(ungrouped, lambda d: d > sixteen_hours),
+        grouped_over_16h_fraction=_fraction(grouped, lambda d: d > sixteen_hours),
+    )
     return registry.AnalysisResult(
         name="fig8",
         title="Figure 8: blackholing event durations (ungrouped vs grouped)",
         headers=("series", "duration", "cdf"),
         rows=tuple(rows),
-        meta={
-            "summary": compute_duration_summary(result),
-            "histogram_hours": compute_duration_histogram(result),
-        },
+        meta={"summary": summary, "histogram_hours": dict(sorted(histogram.items()))},
     )

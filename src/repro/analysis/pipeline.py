@@ -106,14 +106,14 @@ class StudyResult:
         """
         from repro.analysis import registry
 
-        return registry.compute(name, self)
+        return registry.get(name).run(self)
 
     def analyses(self, names: Iterable[str] | None = None) -> dict[str, object]:
         """Compute several (default: all) registered analyses, by name."""
         from repro.analysis import registry
 
         selected = registry.names() if names is None else tuple(names)
-        return {name: registry.compute(name, self) for name in selected}
+        return {name: registry.get(name).run(self) for name in selected}
 
     def materialise(self) -> "StudyResult":
         """Compute every artifact eagerly and return self.

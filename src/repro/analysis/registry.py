@@ -39,7 +39,6 @@ __all__ = [
     "AnalysisResult",
     "all_analyses",
     "analysis",
-    "compute",
     "get",
     "names",
 ]
@@ -70,12 +69,13 @@ def jsonify(value: object) -> object:
 class AnalysisResult:
     """One computed figure/table artifact.
 
-    ``rows`` are the typed rows the legacy ``compute_*`` functions return
-    (dataclasses, mappings, or plain cell tuples); ``headers`` name the
-    rendered columns.  ``display_rows`` optionally overrides the rendered
-    cells when the text table formats differently from the raw fields
-    (e.g. Table 2's ``"307 (102)"`` documented-(inferred) columns); ``meta``
-    carries the headline scalars quoted alongside the figure in the paper.
+    ``rows`` are the artifact's typed rows (dataclasses, mappings, or plain
+    cell tuples) -- e.g. Figure 4's ``DailyActivity`` series or Table 1's
+    ``DatasetOverviewRow`` per source; ``headers`` name the rendered
+    columns.  ``display_rows`` optionally overrides the rendered cells when
+    the text table formats differently from the raw fields (e.g. Table 2's
+    ``"307 (102)"`` documented-(inferred) columns); ``meta`` carries the
+    headline scalars quoted alongside the figure in the paper.
     """
 
     name: str
@@ -226,7 +226,3 @@ def get(name: str) -> Analysis:
             f"unknown analysis {name!r}; known: {', '.join(sorted(_REGISTRY))}"
         ) from None
 
-
-def compute(name: str, result: "StudyResult") -> AnalysisResult:
-    """Compute the named analysis over one study result."""
-    return get(name).run(result)

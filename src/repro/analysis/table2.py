@@ -15,29 +15,15 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.analysis import registry
-from repro.analysis.common import format_table
 from repro.dictionary.model import BlackholeDictionary
-from repro.topology.generator import InternetTopology
 from repro.topology.types import NetworkType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.pipeline import StudyResult
 
-__all__ = ["CommunityDistributionRow", "compute_table2", "format_table2", "table2_analysis"]
+__all__ = ["CommunityDistributionRow", "table2_analysis"]
 
 TABLE2_TITLE = "Table 2: Documented (inferred) blackhole communities per network type"
-TABLE2_HEADERS = ("Network type", "#Networks", "#Blackhole communities")
-
-
-def _display_rows(rows: list[CommunityDistributionRow]) -> tuple[tuple[object, ...], ...]:
-    return tuple(
-        (
-            r.network_type,
-            f"{r.networks} ({r.inferred_networks})",
-            f"{r.communities} ({r.inferred_communities})",
-        )
-        for r in rows
-    )
 
 
 @dataclass(frozen=True)
@@ -51,28 +37,34 @@ class CommunityDistributionRow:
     inferred_communities: int
 
 
-def _type_of_provider(
-    provider_asn: int, ixp_name: str | None, topology: InternetTopology
-) -> str:
-    if ixp_name is not None or topology.ixp_by_route_server(provider_asn) is not None:
-        return NetworkType.IXP.value
-    return topology.classify(provider_asn).value
+@registry.analysis(
+    "table2",
+    title=TABLE2_TITLE,
+    needs=("documented_dictionary", "inferred_dictionary"),
+)
+def table2_analysis(result: "StudyResult") -> registry.AnalysisResult:
+    """Table 2 as a registered artifact (dictionaries only, no inference).
 
-
-def compute_table2(
-    documented: BlackholeDictionary,
-    inferred: BlackholeDictionary,
-    topology: InternetTopology,
-) -> list[CommunityDistributionRow]:
-    """Networks and communities per type, for both dictionaries."""
+    Networks and communities per provider type, for the documented and the
+    inferred dictionary; the text table shows them as ``"documented
+    (inferred)"`` cells.
+    """
+    topology = result.topology
+    documented = result.dictionary
+    inferred = result.inferred_dictionary
 
     def distribution(dictionary: BlackholeDictionary) -> tuple[dict[str, set], dict[str, set]]:
         networks: dict[str, set] = defaultdict(set)
         communities: dict[str, set] = defaultdict(set)
         for entry in dictionary.entries():
-            label = _type_of_provider(entry.provider_asn, entry.ixp_name, topology)
-            key = entry.ixp_name if entry.ixp_name else entry.provider_asn
-            networks[label].add(key)
+            if (
+                entry.ixp_name is not None
+                or topology.ixp_by_route_server(entry.provider_asn) is not None
+            ):
+                label = NetworkType.IXP.value
+            else:
+                label = topology.classify(entry.provider_asn).value
+            networks[label].add(entry.ixp_name if entry.ixp_name else entry.provider_asn)
             communities[label].add(entry.community)
         return networks, communities
 
@@ -87,17 +79,16 @@ def compute_table2(
         NetworkType.ENTERPRISE.value,
         NetworkType.UNKNOWN.value,
     ]
-    rows = []
-    for label in order:
-        rows.append(
-            CommunityDistributionRow(
-                network_type=label,
-                networks=len(doc_networks.get(label, ())),
-                communities=len(doc_communities.get(label, ())),
-                inferred_networks=len(inf_networks.get(label, ())),
-                inferred_communities=len(inf_communities.get(label, ())),
-            )
+    rows = [
+        CommunityDistributionRow(
+            network_type=label,
+            networks=len(doc_networks.get(label, ())),
+            communities=len(doc_communities.get(label, ())),
+            inferred_networks=len(inf_networks.get(label, ())),
+            inferred_communities=len(inf_communities.get(label, ())),
         )
+        for label in order
+    ]
     rows.append(
         CommunityDistributionRow(
             network_type="TOTAL unique",
@@ -107,27 +98,17 @@ def compute_table2(
             inferred_communities=len(inferred.communities()),
         )
     )
-    return rows
-
-
-@registry.analysis(
-    "table2",
-    title=TABLE2_TITLE,
-    needs=("documented_dictionary", "inferred_dictionary"),
-)
-def table2_analysis(result: "StudyResult") -> registry.AnalysisResult:
-    """Table 2 as a registered artifact (dictionaries only, no inference)."""
-    rows = compute_table2(
-        result.dictionary, result.inferred_dictionary, result.topology
-    )
     return registry.AnalysisResult(
         name="table2",
         title=TABLE2_TITLE,
-        headers=TABLE2_HEADERS,
+        headers=("Network type", "#Networks", "#Blackhole communities"),
         rows=tuple(rows),
-        display_rows=_display_rows(rows),
+        display_rows=tuple(
+            (
+                r.network_type,
+                f"{r.networks} ({r.inferred_networks})",
+                f"{r.communities} ({r.inferred_communities})",
+            )
+            for r in rows
+        ),
     )
-
-
-def format_table2(rows: list[CommunityDistributionRow]) -> str:
-    return format_table(list(TABLE2_HEADERS), list(_display_rows(rows)), title=TABLE2_TITLE)

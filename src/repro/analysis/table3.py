@@ -11,46 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis import registry
-from repro.analysis.common import format_table
 from repro.analysis.pipeline import StudyResult
-from repro.core.report import InferenceReport
 
-__all__ = [
-    "BlackholeVisibilityRow",
-    "compute_table3",
-    "format_table3",
-    "table3_analysis",
-    "table3_summary_analysis",
-    "visibility_summary",
-]
+__all__ = ["BlackholeVisibilityRow", "table3_analysis", "table3_summary_analysis"]
 
 TABLE3_TITLE = "Table 3: Blackhole dataset overview (IPv4)"
-TABLE3_HEADERS = (
-    "Source",
-    "#Bh providers",
-    "#Unique prov.",
-    "#Bh users",
-    "#Unique users",
-    "#Bh prefixes",
-    "#Unique pref.",
-    "Direct feeds",
-)
-
-
-def _display_rows(rows: list[BlackholeVisibilityRow]) -> tuple[tuple[object, ...], ...]:
-    return tuple(
-        (
-            r.source,
-            r.providers,
-            r.unique_providers,
-            r.users,
-            r.unique_users,
-            r.prefixes,
-            r.unique_prefixes,
-            f"{100 * r.direct_feed_fraction:.1f}%",
-        )
-        for r in rows
-    )
 
 
 @dataclass(frozen=True)
@@ -67,7 +32,13 @@ class BlackholeVisibilityRow:
     direct_feed_fraction: float
 
 
-def compute_table3(result: StudyResult) -> list[BlackholeVisibilityRow]:
+@registry.analysis(
+    "table3",
+    title=TABLE3_TITLE,
+    needs=("report",),
+)
+def table3_analysis(result: StudyResult) -> registry.AnalysisResult:
+    """Table 3 as a registered artifact (per-source blackhole visibility)."""
     report = result.report
     dataset = result.dataset
     peer_asns = dataset.collector_peer_asns()
@@ -77,22 +48,21 @@ def compute_table3(result: StudyResult) -> list[BlackholeVisibilityRow]:
     unique_users = report.unique_users_per_project()
     unique_prefixes = report.unique_prefixes_per_project()
 
-    rows: list[BlackholeVisibilityRow] = []
-    for project in sorted(report.projects()):
-        rows.append(
-            BlackholeVisibilityRow(
-                source=project,
-                providers=len(report.providers(project)),
-                unique_providers=unique_providers.get(project, 0),
-                users=len(report.users(project)),
-                unique_users=unique_users.get(project, 0),
-                prefixes=len(report.ipv4_prefixes(project)),
-                unique_prefixes=unique_prefixes.get(project, 0),
-                direct_feed_fraction=report.direct_feed_fraction(
-                    peer_asns, collector_ixps, project
-                ),
-            )
+    rows = [
+        BlackholeVisibilityRow(
+            source=project,
+            providers=len(report.providers(project)),
+            unique_providers=unique_providers.get(project, 0),
+            users=len(report.users(project)),
+            unique_users=unique_users.get(project, 0),
+            prefixes=len(report.ipv4_prefixes(project)),
+            unique_prefixes=unique_prefixes.get(project, 0),
+            direct_feed_fraction=report.direct_feed_fraction(
+                peer_asns, collector_ixps, project
+            ),
         )
+        for project in sorted(report.projects())
+    ]
     rows.append(
         BlackholeVisibilityRow(
             source="ALL",
@@ -105,15 +75,47 @@ def compute_table3(result: StudyResult) -> list[BlackholeVisibilityRow]:
             direct_feed_fraction=report.direct_feed_fraction(peer_asns, collector_ixps),
         )
     )
-    return rows
+    return registry.AnalysisResult(
+        name="table3",
+        title=TABLE3_TITLE,
+        headers=(
+            "Source",
+            "#Bh providers",
+            "#Unique prov.",
+            "#Bh users",
+            "#Unique users",
+            "#Bh prefixes",
+            "#Unique pref.",
+            "Direct feeds",
+        ),
+        rows=tuple(rows),
+        display_rows=tuple(
+            (
+                r.source,
+                r.providers,
+                r.unique_providers,
+                r.users,
+                r.unique_users,
+                r.prefixes,
+                r.unique_prefixes,
+                f"{100 * r.direct_feed_fraction:.1f}%",
+            )
+            for r in rows
+        ),
+    )
 
 
-def visibility_summary(result: StudyResult) -> dict[str, float]:
-    """Headline visibility numbers quoted in Section 5.1."""
-    report: InferenceReport = result.report
+@registry.analysis(
+    "table3_summary",
+    title="Section 5.1: headline blackhole visibility",
+    needs=("report", "documented_dictionary"),
+)
+def table3_summary_analysis(result: StudyResult) -> registry.AnalysisResult:
+    """The Section 5.1 headline visibility numbers as a single-row artifact."""
+    report = result.report
     dictionary_providers = result.dictionary.provider_count()
     visible_providers = len(report.providers())
-    return {
+    summary = {
         "dictionary_providers": float(dictionary_providers),
         "visible_providers": float(visible_providers),
         "provider_visibility_fraction": (
@@ -124,40 +126,9 @@ def visibility_summary(result: StudyResult) -> dict[str, float]:
         "host_route_fraction": report.host_route_fraction(),
         "bundled_fraction": report.bundled_fraction(),
     }
-
-
-@registry.analysis(
-    "table3",
-    title=TABLE3_TITLE,
-    needs=("report",),
-)
-def table3_analysis(result: StudyResult) -> registry.AnalysisResult:
-    """Table 3 as a registered artifact (per-source blackhole visibility)."""
-    rows = compute_table3(result)
-    return registry.AnalysisResult(
-        name="table3",
-        title=TABLE3_TITLE,
-        headers=TABLE3_HEADERS,
-        rows=tuple(rows),
-        display_rows=_display_rows(rows),
-    )
-
-
-@registry.analysis(
-    "table3_summary",
-    title="Section 5.1: headline blackhole visibility",
-    needs=("report", "documented_dictionary"),
-)
-def table3_summary_analysis(result: StudyResult) -> registry.AnalysisResult:
-    """The Section 5.1 headline numbers as a single-row artifact."""
-    summary = visibility_summary(result)
     return registry.AnalysisResult(
         name="table3_summary",
         title="Section 5.1: headline blackhole visibility",
         headers=tuple(summary),
         rows=(summary,),
     )
-
-
-def format_table3(rows: list[BlackholeVisibilityRow]) -> str:
-    return format_table(list(TABLE3_HEADERS), list(_display_rows(rows)), title=TABLE3_TITLE)

@@ -12,27 +12,13 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.analysis import registry
-from repro.analysis.common import classify_provider, format_table
+from repro.analysis.common import classify_provider
 from repro.analysis.pipeline import StudyResult
 from repro.topology.types import NetworkType
 
-__all__ = ["ProviderTypeRow", "compute_table4", "format_table4", "table4_analysis"]
+__all__ = ["ProviderTypeRow", "table4_analysis"]
 
 TABLE4_TITLE = "Table 4: Blackhole visibility per provider network type (IPv4)"
-TABLE4_HEADERS = ("Network type", "#Bh prov.", "#Bh users", "#Bh pref.", "Direct feed")
-
-
-def _display_rows(rows: list[ProviderTypeRow]) -> tuple[tuple[object, ...], ...]:
-    return tuple(
-        (
-            r.network_type,
-            r.providers,
-            r.users,
-            r.prefixes,
-            f"{100 * r.direct_feed_fraction:.0f}%",
-        )
-        for r in rows
-    )
 
 
 @dataclass(frozen=True)
@@ -46,7 +32,17 @@ class ProviderTypeRow:
     direct_feed_fraction: float
 
 
-def compute_table4(result: StudyResult) -> list[ProviderTypeRow]:
+@registry.analysis(
+    "table4",
+    title=TABLE4_TITLE,
+    needs=("observations",),
+)
+def table4_analysis(result: StudyResult) -> registry.AnalysisResult:
+    """Table 4 as a registered artifact (per-provider-type visibility).
+
+    Transit/Access and IXP rows are always present; the other types only
+    when some provider has them.
+    """
     topology = result.topology
     dataset = result.dataset
     peer_asns = set().union(*dataset.collector_peer_asns().values())
@@ -89,9 +85,12 @@ def compute_table4(result: StudyResult) -> list[ProviderTypeRow]:
         NetworkType.EDUCATION_RESEARCH_NFP.value,
         NetworkType.UNKNOWN.value,
     ]
-    rows = []
+    rows: list[ProviderTypeRow] = []
     for label in order:
-        if label not in providers and label not in (NetworkType.TRANSIT_ACCESS.value, NetworkType.IXP.value):
+        if label not in providers and label not in (
+            NetworkType.TRANSIT_ACCESS.value,
+            NetworkType.IXP.value,
+        ):
             continue
         rows.append(
             ProviderTypeRow(
@@ -112,25 +111,19 @@ def compute_table4(result: StudyResult) -> list[ProviderTypeRow]:
             direct_feed_fraction=direct_fraction(all_providers),
         )
     )
-    return rows
-
-
-@registry.analysis(
-    "table4",
-    title=TABLE4_TITLE,
-    needs=("observations",),
-)
-def table4_analysis(result: StudyResult) -> registry.AnalysisResult:
-    """Table 4 as a registered artifact (per-provider-type visibility)."""
-    rows = compute_table4(result)
     return registry.AnalysisResult(
         name="table4",
         title=TABLE4_TITLE,
-        headers=TABLE4_HEADERS,
+        headers=("Network type", "#Bh prov.", "#Bh users", "#Bh pref.", "Direct feed"),
         rows=tuple(rows),
-        display_rows=_display_rows(rows),
+        display_rows=tuple(
+            (
+                r.network_type,
+                r.providers,
+                r.users,
+                r.prefixes,
+                f"{100 * r.direct_feed_fraction:.0f}%",
+            )
+            for r in rows
+        ),
     )
-
-
-def format_table4(rows: list[ProviderTypeRow]) -> str:
-    return format_table(list(TABLE4_HEADERS), list(_display_rows(rows)), title=TABLE4_TITLE)

@@ -53,7 +53,7 @@ from importlib import metadata
 from pathlib import Path
 from typing import Callable, Sequence
 
-from repro.analysis import fig4, registry
+from repro.analysis import registry
 from repro.analysis.pipeline import StudyPipeline, StudyResult
 from repro.exec.campaign import ABLATIONS, AblationSpec, ScenarioMatrix, StudyCampaign
 from repro.exec.context import ArtifactCache
@@ -191,7 +191,7 @@ def _cmd_study(args: argparse.Namespace, out: Callable[[str], None]) -> int:
         out(f"  blackholed prefixes:    {len(report.ipv4_prefixes())} IPv4 "
             f"({report.host_route_fraction():.1%} /32s)")
         out(f"  bundling share:         {report.bundled_fraction():.1%}")
-        daily = fig4.compute_daily_activity(result)
+        daily = result.analysis("fig4").rows
         if daily:
             peak = max(daily, key=lambda d: d.prefixes)
             out(f"  peak daily prefixes:    {peak.prefixes}")

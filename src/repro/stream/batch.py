@@ -75,7 +75,6 @@ __all__ = [
     "batch_specs",
     "prefix_shard_key",
     "row_spec_sort_key",
-    "select_counters",
     "spec_timestamp",
 ]
 
@@ -273,27 +272,6 @@ class _LazyRowView:
         return _LazyRowView(self._parent, composed)
 
 
-class SelectCounters:
-    """Per-process diagnostics of the :meth:`ElemBatch.select` fast path.
-
-    ``zero_copy_selects`` counts sub-batches sliced through ``memoryview``
-    column views (contiguous index runs); ``gather_selects`` counts the
-    per-index gather fallback.  Benchmarks and the CI smoke read the deltas
-    to prove the zero-copy branch is actually taken -- the counters carry
-    no semantics and are never merged across worker processes.
-    """
-
-    __slots__ = ("zero_copy_selects", "gather_selects")
-
-    def __init__(self) -> None:
-        self.zero_copy_selects = 0
-        self.gather_selects = 0
-
-
-#: Module-wide select diagnostics (per process; forked workers see a copy).
-select_counters = SelectCounters()
-
-
 def _column_view(column, start: int, stop: int):
     """Zero-copy slice of a typed column (re-slices existing views)."""
     if type(column) is not memoryview:
@@ -426,7 +404,6 @@ class ElemBatch:
                 or all(map(eq, indices, range(first, first + count)))
             ):
                 return self.select_run(first, first + count)
-        select_counters.gather_selects += 1
         elems = self.elems
         view = getattr(elems, "view", None)
         sub_elems = (
@@ -457,7 +434,6 @@ class ElemBatch:
         ``elems`` column becomes a range view sharing the parent's cache --
         no row is materialised by taking the run.
         """
-        select_counters.zero_copy_selects += 1
         elems = self.elems
         view = getattr(elems, "view", None)
         sub_elems = (

@@ -7,6 +7,11 @@ behaviour change: an observation, a counter or a key that moved.  Layouts
 that must agree (serial vs two inline shards with columnar batches) share
 one snapshot.
 
+``repro report`` over every registered analysis is too large to store
+whole (Figure 8 alone has thousands of rows), so its snapshot keeps, per
+analysis, the row count, the full ``meta`` and the SHA-256 of the
+``to_dict()`` payload serialised with sorted keys.
+
 After an intended output change, rewrite the snapshots with::
 
     REPRO_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_cli_golden.py
@@ -16,6 +21,8 @@ and review the diff of ``tests/golden/`` like any other code change.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 from pathlib import Path
 
@@ -32,6 +39,15 @@ SWEEP = [
     "--format", "json",
 ]
 
+#: Every registered analysis, spelled out so a new or renamed one shows here.
+REPORT = [
+    "report",
+    "fig2", "fig2_surface", "fig4", "fig4_growth", "fig5", "fig6", "fig7",
+    "fig8", "fig9", "fig9_traffic",
+    "table1", "table2", "table3", "table3_summary", "table4",
+    "--scale", "small", "--format", "json",
+]
+
 CASES = {
     "study-serial": ("study", STUDY),
     "study-inline-batched": ("study", STUDY + ["--workers", "2", "--batch-size", "512"]),
@@ -46,6 +62,22 @@ def _run(argv: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _report_digest(text: str) -> str:
+    """Row count, meta and payload hash of each analysis in a report."""
+    payload = json.loads(text)
+    digest = {
+        name: {
+            "rows": len(res["rows"]),
+            "meta": res["meta"],
+            "sha256": hashlib.sha256(
+                json.dumps(res, sort_keys=True).encode()
+            ).hexdigest(),
+        }
+        for name, res in payload["analyses"].items()
+    }
+    return json.dumps(digest, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_json_matches_snapshot(case):
     snapshot, argv = CASES[case]
@@ -55,3 +87,12 @@ def test_cli_json_matches_snapshot(case):
         path.parent.mkdir(exist_ok=True)
         path.write_text(text)
     assert text == path.read_text(), f"{' '.join(argv)} differs from {path.name}"
+
+
+def test_report_matches_snapshot():
+    path = GOLDEN / "report.json"
+    text = _report_digest(_run(REPORT))
+    if os.environ.get("REPRO_UPDATE_GOLDEN"):
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(text)
+    assert text == path.read_text(), f"{' '.join(REPORT)} differs from {path.name}"

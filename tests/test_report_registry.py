@@ -1,31 +1,21 @@
 """Tests for the unified analysis registry (:mod:`repro.analysis.registry`).
 
-Covers enumeration, parity of every registered artifact against its legacy
-``compute_*`` function, JSON round-trips, needs-driven laziness (an
-inference-free report never builds the inference stage), and cross-cell
-tabulation through a campaign.
+Covers enumeration, parity of every registered artifact with the golden
+``repro report`` snapshot (``tests/golden/report.json``, recorded before the
+analyses became the only entry point to their artifacts), JSON round-trips,
+needs-driven laziness (an inference-free report never builds the inference
+stage), and cross-cell tabulation through a campaign.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    fig2,
-    fig4,
-    fig5,
-    fig6,
-    fig7,
-    fig8,
-    fig9,
-    registry,
-    table1,
-    table2,
-    table3,
-    table4,
-)
+from repro.analysis import registry
 from repro.analysis.pipeline import StudyPipeline
 from repro.cli import main
 from repro.exec.campaign import ScenarioMatrix, StudyCampaign
@@ -49,6 +39,8 @@ EXPECTED_NAMES = (
     "table3_summary",
     "table4",
 )
+
+GOLDEN_REPORT = Path(__file__).resolve().parent / "golden" / "report.json"
 
 #: Analyses whose declared needs never pull the inference stage.
 INFERENCE_FREE = ("table1", "table2", "fig2", "fig2_surface", "fig9_traffic")
@@ -88,134 +80,66 @@ class TestRegistry:
 
 
 class TestParity:
-    """Each registered artifact carries byte-identical rows to its legacy
-    ``compute_*`` function over the same (session-scoped) study result."""
+    """Each registered artifact, computed through the library over the
+    session's eager study result, matches the digest that the lazy
+    ``repro report --scale small`` run recorded in ``tests/golden/report.json``
+    (row count, full ``meta`` and SHA-256 of the ``to_dict()`` payload)."""
 
-    def test_table1(self, study_result):
-        res = study_result.analysis("table1")
-        assert res.rows == tuple(table1.compute_table1(study_result.dataset))
-        assert res.meta["ipv4_fraction"] == table1.ipv4_fraction(study_result.dataset)
-        assert res.render().startswith(
-            table1.format_table1(list(res.rows))
-        )
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN_REPORT.read_text())
 
-    def test_table2(self, study_result):
-        res = study_result.analysis("table2")
-        legacy = table2.compute_table2(
-            study_result.dictionary,
-            study_result.inferred_dictionary,
-            study_result.topology,
-        )
-        assert res.rows == tuple(legacy)
-        assert res.render() == table2.format_table2(legacy)
-
-    def test_table3(self, study_result):
-        res = study_result.analysis("table3")
-        legacy = table3.compute_table3(study_result)
-        assert res.rows == tuple(legacy)
-        assert res.render() == table3.format_table3(legacy)
-
-    def test_table3_summary(self, study_result):
-        res = study_result.analysis("table3_summary")
-        assert res.rows == (table3.visibility_summary(study_result),)
-
-    def test_table4(self, study_result):
-        res = study_result.analysis("table4")
-        legacy = table4.compute_table4(study_result)
-        assert res.rows == tuple(legacy)
-        assert res.render() == table4.format_table4(legacy)
-
-    def test_fig2(self, study_result):
-        res = study_result.analysis("fig2")
-        assert res.rows == (fig2.compute_fig2_summary(study_result),)
-        surface = study_result.analysis("fig2_surface")
-        assert surface.rows == tuple(fig2.compute_fig2_surface(study_result))
-
-    def test_fig4(self, study_result):
-        daily = fig4.compute_daily_activity(study_result)
-        res = study_result.analysis("fig4")
-        assert res.rows == tuple(daily)
-        growth = fig4.compute_growth(daily)
-        assert res.meta["prefix_growth"] == growth.prefix_growth
-        spikes = study_result.analysis("fig4_growth")
-        assert spikes.rows == tuple(fig4.detect_spikes(daily))
-        assert spikes.meta["growth"] == growth
-
-    def test_fig5(self, study_result):
-        res = study_result.analysis("fig5")
-        expected = []
-        for plot, cdfs in (
-            ("providers", fig5.compute_provider_cdfs(study_result)),
-            ("users", fig5.compute_user_cdfs(study_result)),
-        ):
-            for group in sorted(cdfs):
-                for value, fraction in cdfs[group]:
-                    expected.append(
-                        {"plot": plot, "group": group, "value": value, "cdf": fraction}
-                    )
-        assert res.rows == tuple(expected)
-        assert res.meta["summary"] == fig5.compute_fig5_summary(study_result)
-
-    def test_fig6(self, study_result):
-        res = study_result.analysis("fig6")
-        providers = fig6.compute_provider_countries(study_result)
-        users = fig6.compute_user_countries(study_result)
-        assert sum(r["networks"] for r in res.rows if r["group"] == "providers") == sum(
-            providers.values()
-        )
-        assert res.meta["top_user_countries"] == fig6.top_countries(users)
-
-    def test_fig7(self, study_result):
-        res = study_result.analysis("fig7")
-        services = fig7.compute_service_histogram(study_result)
-        by_plot: dict[str, dict] = {}
-        for row in res.rows:
-            by_plot.setdefault(row["plot"], {})[row["bucket"]] = row["count"]
-        assert by_plot["services"] == services
-        assert by_plot["providers_per_event"] == fig7.compute_providers_per_event(
-            study_result
-        )
-        assert by_plot["as_distance"] == fig7.compute_as_distance_histogram(study_result)
-        assert res.meta["summary"] == fig7.compute_fig7_summary(study_result)
-
-    def test_fig8(self, study_result):
-        res = study_result.analysis("fig8")
-        cdfs = fig8.compute_duration_cdfs(study_result)
-        expected = tuple(
-            {"series": series, "duration": duration, "cdf": fraction}
-            for series, points in cdfs.items()
-            for duration, fraction in points
-        )
-        assert res.rows == expected
-        assert res.meta["summary"] == fig8.compute_duration_summary(study_result)
-        assert res.meta["histogram_hours"] == fig8.compute_duration_histogram(
-            study_result
-        )
-
-    def test_fig9(self, study_result):
-        res = study_result.analysis("fig9")
-        measurements = fig9.compute_traceroute_measurements(study_result)
-        deltas = fig9.compute_path_deltas(measurements)
-        expected = tuple(
-            {"metric": metric, "delta": delta}
-            for metric, values in deltas.items()
-            for delta in values
-        )
-        assert res.rows == expected
-        assert res.meta["summary"] == fig9.compute_efficacy_summary(measurements)
-
-    def test_fig9_traffic(self, study_result):
-        res = study_result.analysis("fig9_traffic")
-        series = fig9.compute_ixp_traffic_series(study_result)
-        assert res.rows == tuple(
-            {
-                "prefix": str(prefix),
-                "dropped": s.total_dropped,
-                "forwarded": s.total_forwarded,
-                "dropped_fraction": s.dropped_fraction,
+    @staticmethod
+    def check(study_result, golden, *names):
+        for name in names:
+            payload = json.loads(json.dumps(study_result.analysis(name).to_dict()))
+            digest = {
+                "rows": len(payload["rows"]),
+                "meta": payload["meta"],
+                "sha256": hashlib.sha256(
+                    json.dumps(payload, sort_keys=True).encode()
+                ).hexdigest(),
             }
-            for prefix, s in series.items()
-        )
+            assert digest == golden[name], name
+
+    def test_table1(self, study_result, golden):
+        self.check(study_result, golden, "table1")
+
+    def test_table2(self, study_result, golden):
+        self.check(study_result, golden, "table2")
+
+    def test_table3(self, study_result, golden):
+        self.check(study_result, golden, "table3")
+
+    def test_table3_summary(self, study_result, golden):
+        self.check(study_result, golden, "table3_summary")
+
+    def test_table4(self, study_result, golden):
+        self.check(study_result, golden, "table4")
+
+    def test_fig2(self, study_result, golden):
+        self.check(study_result, golden, "fig2", "fig2_surface")
+
+    def test_fig4(self, study_result, golden):
+        self.check(study_result, golden, "fig4", "fig4_growth")
+
+    def test_fig5(self, study_result, golden):
+        self.check(study_result, golden, "fig5")
+
+    def test_fig6(self, study_result, golden):
+        self.check(study_result, golden, "fig6")
+
+    def test_fig7(self, study_result, golden):
+        self.check(study_result, golden, "fig7")
+
+    def test_fig8(self, study_result, golden):
+        self.check(study_result, golden, "fig8")
+
+    def test_fig9(self, study_result, golden):
+        self.check(study_result, golden, "fig9")
+
+    def test_fig9_traffic(self, study_result, golden):
+        self.check(study_result, golden, "fig9_traffic")
 
     def test_every_result_json_serialisable(self, study_result):
         for name, res in study_result.analyses().items():
