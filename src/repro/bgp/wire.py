@@ -13,6 +13,15 @@ The codec implements RFC 4271 UPDATE messages with:
   EXTENDED_COMMUNITIES (RFC 4360) attributes;
 * IPv4 NLRI/withdrawals in the classic fields and IPv6 via
   MP_REACH_NLRI/MP_UNREACH_NLRI (RFC 4760).
+
+Decoding has one attribute decoder, :func:`decode_attributes`, over a bare
+path-attribute blob; :func:`decode_update` parses the UPDATE header and
+classic NLRI in place (:func:`split_update`) and delegates to it, and the
+MRT reader calls it for BGP4MP records and TABLE_DUMP_V2 RIB entries alike.
+The decoder works on plain ints and returns immutable values, so the MRT
+reader decodes each distinct attribute blob once per archive scan and
+shares the result between rows.  Malformed bytes raise :class:`WireError`
+naming the field at fault.
 """
 
 from __future__ import annotations
@@ -35,7 +44,15 @@ from repro.bgp.community import (
 )
 from repro.netutils.prefixes import Prefix, addr_to_int, int_to_addr
 
-__all__ = ["DecodedUpdate", "decode_update", "encode_update", "WireError"]
+__all__ = [
+    "DecodedUpdate",
+    "WireError",
+    "decode_attributes",
+    "decode_update",
+    "encode_update",
+    "has_mp_nlri",
+    "split_update",
+]
 
 BGP_HEADER_MARKER = b"\xff" * 16
 BGP_MSG_UPDATE = 2
@@ -50,7 +67,7 @@ class WireError(ValueError):
 
 
 # --------------------------------------------------------------------------- #
-# Prefix (NLRI) encoding
+# Prefix (NLRI) encoding and decoding
 # --------------------------------------------------------------------------- #
 def _encode_nlri(prefix: Prefix) -> bytes:
     """Encode one prefix in NLRI form: length octet + minimal network bytes."""
@@ -59,31 +76,25 @@ def _encode_nlri(prefix: Prefix) -> bytes:
     return bytes([prefix.length]) + network_bytes
 
 
-def _decode_nlri(data: bytes, offset: int, family: int) -> tuple[Prefix, int]:
-    """Decode one prefix starting at ``offset``; returns (prefix, new offset)."""
-    if offset >= len(data):
-        raise WireError("truncated NLRI")
-    length = data[offset]
-    offset += 1
-    nbytes = (length + 7) // 8
-    if offset + nbytes > len(data):
-        raise WireError("truncated NLRI prefix bytes")
-    total_bytes = 4 if family == 4 else 16
-    # Left-shift instead of padding with a byte copy so memoryview input
-    # (the zero-copy MRT scan) decodes without concatenation.
-    network = int.from_bytes(data[offset : offset + nbytes], "big") << (
-        8 * (total_bytes - nbytes)
-    )
-    offset += nbytes
-    return Prefix.make(family, network, length), offset
-
-
-def _decode_nlri_list(data: bytes, family: int) -> list[Prefix]:
+def _decode_nlri(data: bytes | memoryview, family: int, offset: int, end: int) -> list[Prefix]:
+    """Decode the NLRI prefixes in ``data[offset:end]`` (family 4 or 6)."""
+    bits = 32 if family == 4 else 128
     prefixes: list[Prefix] = []
-    offset = 0
-    while offset < len(data):
-        prefix, offset = _decode_nlri(data, offset, family)
-        prefixes.append(prefix)
+    while offset < end:
+        length = data[offset]
+        if length > bits:
+            raise WireError(f"IPv{family} NLRI length {length} exceeds {bits}")
+        nbytes = (length + 7) // 8
+        offset += 1
+        if offset + nbytes > end:
+            raise WireError("truncated NLRI prefix bytes")
+        # Left-align the prefix bits arithmetically instead of padding a
+        # byte copy, so memoryview input decodes without concatenation.
+        network = int.from_bytes(data[offset : offset + nbytes], "big") << (
+            bits - 8 * nbytes
+        )
+        offset += nbytes
+        prefixes.append(Prefix.make(family, network, length))
     return prefixes
 
 
@@ -115,41 +126,10 @@ def _encode_as_path(as_path: AsPath) -> bytes:
     return b"".join(chunks)
 
 
-def _decode_as_path(value: bytes) -> AsPath:
-    hops: list[int] = []
-    offset = 0
-    while offset < len(value):
-        if offset + 2 > len(value):
-            raise WireError("truncated AS_PATH segment header")
-        segment_type, count = value[offset], value[offset + 1]
-        offset += 2
-        needed = count * 4
-        if offset + needed > len(value):
-            raise WireError("truncated AS_PATH segment")
-        asns = struct.unpack(f"!{count}I", value[offset : offset + needed])
-        offset += needed
-        if segment_type == 2:  # AS_SEQUENCE
-            hops.extend(asns)
-        elif segment_type == 1:  # AS_SET: keep as ordered hops (sorted) for determinism
-            hops.extend(sorted(asns))
-        else:
-            raise WireError(f"unsupported AS_PATH segment type {segment_type}")
-    return AsPath(tuple(hops))
-
-
 def _encode_communities(communities: frozenset[Community]) -> bytes:
     return b"".join(
         struct.pack("!I", community.to_int()) for community in sorted(communities)
     )
-
-
-def _decode_communities(value: bytes) -> list[Community]:
-    if len(value) % 4 != 0:
-        raise WireError("COMMUNITIES length not a multiple of 4")
-    return [
-        Community.from_int(struct.unpack("!I", value[offset : offset + 4])[0])
-        for offset in range(0, len(value), 4)
-    ]
 
 
 def _encode_large_communities(communities: frozenset[LargeCommunity]) -> bytes:
@@ -159,21 +139,190 @@ def _encode_large_communities(communities: frozenset[LargeCommunity]) -> bytes:
     )
 
 
-def _decode_large_communities(value: bytes) -> list[LargeCommunity]:
-    if len(value) % 12 != 0:
-        raise WireError("LARGE_COMMUNITIES length not a multiple of 12")
-    result = []
-    for offset in range(0, len(value), 12):
-        ga, l1, l2 = struct.unpack("!III", value[offset : offset + 12])
-        result.append(LargeCommunity(ga, l1, l2))
-    return result
-
-
 def _encode_next_hop_v4(next_hop: str) -> bytes:
     value, family = addr_to_int(next_hop)
     if family != 4:
         raise WireError("classic NEXT_HOP attribute only carries IPv4")
     return struct.pack("!I", value)
+
+
+# --------------------------------------------------------------------------- #
+# Attribute decoding
+# --------------------------------------------------------------------------- #
+# Plain-int type codes and flags: the decoder compares them once per
+# attribute, where IntEnum/IntFlag arithmetic costs a Python-level call.
+_FLAG_EXTENDED_LENGTH = 0x10
+_TYPE_ORIGIN = 1
+_TYPE_AS_PATH = 2
+_TYPE_NEXT_HOP = 3
+_TYPE_MED = 4
+_TYPE_LOCAL_PREF = 5
+_TYPE_COMMUNITIES = 8
+_TYPE_MP_REACH = 14
+_TYPE_MP_UNREACH = 15
+_TYPE_EXTENDED_COMMUNITIES = 16
+_TYPE_LARGE_COMMUNITIES = 32
+
+#: ORIGIN attribute value -> :class:`Origin`, indexed by the wire octet.
+_ORIGINS = tuple(Origin)
+
+_unpack_from = struct.unpack_from
+
+
+def _u32(blob: bytes | memoryview, offset: int, length: int, name: str) -> int:
+    if length != 4:
+        raise WireError(f"{name} length {length}, expected 4")
+    return _unpack_from("!I", blob, offset)[0]
+
+
+def _decode_as_path(blob: bytes | memoryview, offset: int, end: int) -> AsPath:
+    hops: list[int] = []
+    while offset < end:
+        if offset + 2 > end:
+            raise WireError("truncated AS_PATH segment header")
+        segment_type = blob[offset]
+        count = blob[offset + 1]
+        offset += 2
+        if offset + 4 * count > end:
+            raise WireError("truncated AS_PATH segment")
+        asns = _unpack_from(f"!{count}I", blob, offset)
+        offset += 4 * count
+        if segment_type == 2:  # AS_SEQUENCE
+            hops.extend(asns)
+        elif segment_type == 1:  # AS_SET: keep as ordered hops (sorted) for determinism
+            hops.extend(sorted(asns))
+        else:
+            raise WireError(f"unsupported AS_PATH segment type {segment_type}")
+    return AsPath(tuple(hops))
+
+
+def has_mp_nlri(blob: bytes | memoryview) -> bool:
+    """True if the attribute blob may carry MP_REACH/MP_UNREACH prefixes.
+
+    Walks the attribute headers only.  A malformed blob answers True, so a
+    caller that skips decoding on False never hides a decode error.
+    """
+    offset = 0
+    size = len(blob)
+    while offset + 3 <= size:
+        type_code = blob[offset + 1]
+        if type_code == _TYPE_MP_REACH or type_code == _TYPE_MP_UNREACH:
+            return True
+        if blob[offset] & _FLAG_EXTENDED_LENGTH:
+            if offset + 4 > size:
+                return True
+            offset += 4 + ((blob[offset + 2] << 8) | blob[offset + 3])
+        else:
+            offset += 3 + blob[offset + 2]
+    return offset != size
+
+
+def decode_attributes(
+    blob: bytes | memoryview,
+    announced: list[Prefix] | None = None,
+    withdrawn: list[Prefix] | None = None,
+) -> PathAttributes:
+    """Decode a bare path-attribute blob.
+
+    This is the one attribute decoder: UPDATE messages, BGP4MP records and
+    TABLE_DUMP_V2 RIB entries all go through it.  IPv6 prefixes carried in
+    MP_REACH_NLRI / MP_UNREACH_NLRI are appended to ``announced`` /
+    ``withdrawn`` when those lists are given (and skipped otherwise).
+    Unknown attributes are skipped, as a BGP speaker would; a malformed
+    attribute raises :class:`WireError` naming it.
+    """
+    origin = Origin.IGP
+    as_path = AsPath()
+    next_hop: str | None = None
+    med: int | None = None
+    local_pref: int | None = None
+    standard: list[Community] = []
+    large: list[LargeCommunity] = []
+    extended: list[ExtendedCommunity] = []
+
+    offset = 0
+    size = len(blob)
+    while offset < size:
+        if offset + 3 > size:
+            raise WireError("truncated attribute header")
+        type_code = blob[offset + 1]
+        if blob[offset] & _FLAG_EXTENDED_LENGTH:
+            if offset + 4 > size:
+                raise WireError("truncated extended attribute header")
+            length = (blob[offset + 2] << 8) | blob[offset + 3]
+            offset += 4
+        else:
+            length = blob[offset + 2]
+            offset += 3
+        end = offset + length
+        if end > size:
+            raise WireError(f"truncated value of attribute type {type_code}")
+
+        if type_code == _TYPE_AS_PATH:
+            as_path = _decode_as_path(blob, offset, end)
+        elif type_code == _TYPE_COMMUNITIES:
+            if length % 4:
+                raise WireError("COMMUNITIES length not a multiple of 4")
+            standard.extend(
+                Community(value >> 16, value & 0xFFFF)
+                for value in _unpack_from(f"!{length // 4}I", blob, offset)
+            )
+        elif type_code == _TYPE_ORIGIN:
+            if length != 1:
+                raise WireError(f"ORIGIN length {length}, expected 1")
+            if blob[offset] >= len(_ORIGINS):
+                raise WireError(f"ORIGIN value {blob[offset]} is not 0, 1 or 2")
+            origin = _ORIGINS[blob[offset]]
+        elif type_code == _TYPE_NEXT_HOP:
+            next_hop = int_to_addr(_u32(blob, offset, length, "NEXT_HOP"), 4)
+        elif type_code == _TYPE_MED:
+            med = _u32(blob, offset, length, "MULTI_EXIT_DISC")
+        elif type_code == _TYPE_LOCAL_PREF:
+            local_pref = _u32(blob, offset, length, "LOCAL_PREF")
+        elif type_code == _TYPE_LARGE_COMMUNITIES:
+            if length % 12:
+                raise WireError("LARGE_COMMUNITIES length not a multiple of 12")
+            fields = _unpack_from(f"!{length // 4}I", blob, offset)
+            large.extend(
+                LargeCommunity(*fields[i : i + 3]) for i in range(0, len(fields), 3)
+            )
+        elif type_code == _TYPE_EXTENDED_COMMUNITIES:
+            if length % 8:
+                raise WireError("EXTENDED_COMMUNITIES length not a multiple of 8")
+            extended.extend(
+                ExtendedCommunity.from_bytes(blob[start : start + 8])
+                for start in range(offset, end, 8)
+            )
+        elif type_code == _TYPE_MP_REACH:
+            if length < 5:
+                raise WireError("truncated MP_REACH_NLRI header")
+            afi, safi, nh_len = _unpack_from("!HBB", blob, offset)
+            nlri_start = offset + 4 + nh_len + 1  # skip the reserved octet
+            if nlri_start > end:
+                raise WireError(f"MP_REACH_NLRI next-hop length {nh_len} overruns")
+            if afi == _AFI_IPV6 and safi == _SAFI_UNICAST:
+                if nh_len >= 16:
+                    next_hop = int_to_addr(
+                        int.from_bytes(blob[offset + 4 : offset + 20], "big"), 6
+                    )
+                if announced is not None:
+                    announced.extend(_decode_nlri(blob, 6, nlri_start, end))
+        elif type_code == _TYPE_MP_UNREACH:
+            if length < 3:
+                raise WireError("truncated MP_UNREACH_NLRI header")
+            afi, safi = _unpack_from("!HB", blob, offset)
+            if afi == _AFI_IPV6 and safi == _SAFI_UNICAST and withdrawn is not None:
+                withdrawn.extend(_decode_nlri(blob, 6, offset + 3, end))
+        offset = end
+
+    return PathAttributes(
+        origin=origin,
+        as_path=as_path,
+        next_hop=next_hop,
+        med=med,
+        local_pref=local_pref,
+        communities=CommunitySet(standard, large, extended),
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -303,111 +452,43 @@ def encode_update(
     return header + body
 
 
-def decode_update(data: bytes) -> DecodedUpdate:
-    """Decode one BGP UPDATE message (header included)."""
-    if len(data) < 19:
-        raise WireError("BGP message shorter than header")
+def split_update(
+    data: bytes | memoryview,
+) -> tuple[list[Prefix], bytes | memoryview, list[Prefix]]:
+    """Parse an UPDATE's header and classic NLRI fields in place.
+
+    Returns ``(withdrawn, attribute blob, announced)``: the IPv4 prefixes
+    of the withdrawn-routes and NLRI fields, and the raw path-attribute
+    bytes as a window of ``data``.  IPv6 prefixes travel inside the blob
+    (MP_REACH_NLRI / MP_UNREACH_NLRI); :func:`decode_attributes` adds them.
+    """
+    size = len(data)
+    if size < 23:
+        raise WireError("BGP message shorter than UPDATE header")
     if data[:16] != BGP_HEADER_MARKER:
         raise WireError("bad BGP marker")
-    total_length, msg_type = struct.unpack("!HB", data[16:19])
+    total_length, msg_type, withdrawn_len = _unpack_from("!HBH", data, 16)
     if msg_type != BGP_MSG_UPDATE:
         raise WireError(f"not an UPDATE message (type {msg_type})")
-    if total_length != len(data):
-        raise WireError("BGP message length mismatch")
-    body = data[19:]
-
-    if len(body) < 2:
-        raise WireError("truncated UPDATE body")
-    withdrawn_len = struct.unpack("!H", body[:2])[0]
-    offset = 2
-    withdrawn_raw = body[offset : offset + withdrawn_len]
-    if len(withdrawn_raw) != withdrawn_len:
+    if total_length != size:
+        raise WireError(f"BGP message length field {total_length} != {size} bytes")
+    attrs_start = 21 + withdrawn_len
+    if attrs_start + 2 > size:
         raise WireError("truncated withdrawn routes field")
-    offset += withdrawn_len
-
-    if len(body) < offset + 2:
-        raise WireError("truncated path attribute length")
-    attrs_len = struct.unpack("!H", body[offset : offset + 2])[0]
-    offset += 2
-    attrs_raw = body[offset : offset + attrs_len]
-    if len(attrs_raw) != attrs_len:
+    attrs_len = _unpack_from("!H", data, attrs_start)[0]
+    attrs_start += 2
+    nlri_start = attrs_start + attrs_len
+    if nlri_start > size:
         raise WireError("truncated path attributes")
-    offset += attrs_len
-    nlri_raw = body[offset:]
-
-    result = DecodedUpdate()
-    result.withdrawn.extend(_decode_nlri_list(withdrawn_raw, family=4))
-    result.announced.extend(_decode_nlri_list(nlri_raw, family=4))
-
-    origin = Origin.IGP
-    as_path = AsPath()
-    next_hop: str | None = None
-    med: int | None = None
-    local_pref: int | None = None
-    standard: list[Community] = []
-    large: list[LargeCommunity] = []
-    extended: list[ExtendedCommunity] = []
-
-    attr_offset = 0
-    while attr_offset < len(attrs_raw):
-        if attr_offset + 3 > len(attrs_raw):
-            raise WireError("truncated attribute header")
-        flags = attrs_raw[attr_offset]
-        type_code = attrs_raw[attr_offset + 1]
-        if flags & AttributeFlag.EXTENDED_LENGTH:
-            if attr_offset + 4 > len(attrs_raw):
-                raise WireError("truncated extended attribute header")
-            length = struct.unpack("!H", attrs_raw[attr_offset + 2 : attr_offset + 4])[0]
-            attr_offset += 4
-        else:
-            length = attrs_raw[attr_offset + 2]
-            attr_offset += 3
-        value = attrs_raw[attr_offset : attr_offset + length]
-        if len(value) != length:
-            raise WireError("truncated attribute value")
-        attr_offset += length
-
-        if type_code == AttributeType.ORIGIN:
-            origin = Origin(value[0])
-        elif type_code == AttributeType.AS_PATH:
-            as_path = _decode_as_path(value)
-        elif type_code == AttributeType.NEXT_HOP:
-            next_hop = int_to_addr(struct.unpack("!I", value)[0], 4)
-        elif type_code == AttributeType.MULTI_EXIT_DISC:
-            med = struct.unpack("!I", value)[0]
-        elif type_code == AttributeType.LOCAL_PREF:
-            local_pref = struct.unpack("!I", value)[0]
-        elif type_code == AttributeType.COMMUNITIES:
-            standard.extend(_decode_communities(value))
-        elif type_code == AttributeType.LARGE_COMMUNITIES:
-            large.extend(_decode_large_communities(value))
-        elif type_code == AttributeType.EXTENDED_COMMUNITIES:
-            if len(value) % 8 != 0:
-                raise WireError("EXTENDED_COMMUNITIES length not a multiple of 8")
-            extended.extend(
-                ExtendedCommunity.from_bytes(value[i : i + 8])
-                for i in range(0, len(value), 8)
-            )
-        elif type_code == AttributeType.MP_REACH_NLRI:
-            afi, safi, nh_len = struct.unpack("!HBB", value[:4])
-            nh_raw = value[4 : 4 + nh_len]
-            rest = value[4 + nh_len + 1 :]  # skip reserved octet
-            if afi == _AFI_IPV6 and safi == _SAFI_UNICAST:
-                if len(nh_raw) >= 16:
-                    next_hop = int_to_addr(int.from_bytes(nh_raw[:16], "big"), 6)
-                result.announced.extend(_decode_nlri_list(rest, family=6))
-        elif type_code == AttributeType.MP_UNREACH_NLRI:
-            afi, safi = struct.unpack("!HB", value[:3])
-            if afi == _AFI_IPV6 and safi == _SAFI_UNICAST:
-                result.withdrawn.extend(_decode_nlri_list(value[3:], family=6))
-        # Unknown attributes are skipped silently, as a BGP speaker would.
-
-    result.attributes = PathAttributes(
-        origin=origin,
-        as_path=as_path,
-        next_hop=next_hop,
-        med=med,
-        local_pref=local_pref,
-        communities=CommunitySet(standard, large, extended),
+    return (
+        _decode_nlri(data, 4, 21, attrs_start - 2),
+        data[attrs_start:nlri_start],
+        _decode_nlri(data, 4, nlri_start, size),
     )
-    return result
+
+
+def decode_update(data: bytes | memoryview) -> DecodedUpdate:
+    """Decode one BGP UPDATE message (header included)."""
+    withdrawn, blob, announced = split_update(data)
+    attributes = decode_attributes(blob, announced, withdrawn)
+    return DecodedUpdate(announced, withdrawn, attributes)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from repro.core.events import BlackholingObservation, DetectionMethod
 from repro.netutils.prefixes import Prefix

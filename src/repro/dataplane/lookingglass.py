@@ -11,7 +11,7 @@ query interface, like the Periscope system the paper uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.bgp.community import Community, LargeCommunity
 from repro.netutils.prefixes import Prefix

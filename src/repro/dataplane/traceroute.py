@@ -20,7 +20,7 @@ This module reproduces that pipeline on the simulated Internet:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.netutils.prefixes import Prefix
 from repro.routing.propagation import RoutePropagator

@@ -13,7 +13,7 @@ peer IP.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 from repro.bgp.community import Community, CommunitySet, LargeCommunity

@@ -9,10 +9,11 @@ re-parsed from genuine MRT bytes.
 """
 
 from repro.mrt.constants import MrtSubtype, MrtType
-from repro.mrt.reader import MrtReader, read_messages, read_records
+from repro.mrt.reader import MrtError, MrtReader, read_messages, read_records
 from repro.mrt.writer import MrtWriter, write_rib, write_updates
 
 __all__ = [
+    "MrtError",
     "MrtReader",
     "MrtSubtype",
     "MrtType",

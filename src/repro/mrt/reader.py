@@ -6,17 +6,21 @@ BGP4MP_ET message records and TABLE_DUMP_V2 RIB snapshots.  The high-level
 :func:`read_messages` generator converts both flavours back into
 :class:`~repro.bgp.message.BgpUpdate` / :class:`BgpWithdrawal` objects, which
 is what the BGPStream-like layer feeds to the inference engine.
+
+Malformed input raises :class:`MrtError` (record framing, BGP4MP headers,
+the PEER_INDEX_TABLE, RIB entries) or :class:`~repro.bgp.wire.WireError`
+(the BGP message and its path attributes), each naming the field at fault.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.message import BgpMessage, BgpUpdate, BgpWithdrawal
-from repro.bgp.wire import BGP_HEADER_MARKER, decode_update
+from repro.bgp.wire import decode_attributes, has_mp_nlri, split_update
 from repro.mrt.constants import (
     PEER_TYPE_AS4,
     PEER_TYPE_IPV6,
@@ -25,7 +29,11 @@ from repro.mrt.constants import (
 )
 from repro.netutils.prefixes import Prefix, int_to_addr
 
-__all__ = ["MrtReader", "MrtRecord", "read_messages", "read_records"]
+__all__ = ["MrtError", "MrtReader", "MrtRecord", "read_messages", "read_records"]
+
+
+_AFI_IPV4 = 1
+_AFI_IPV6 = 2
 
 
 class MrtError(ValueError):
@@ -78,12 +86,13 @@ def read_records(data: bytes | memoryview) -> Iterator[MrtRecord]:
         yield MrtRecord(timestamp, mrt_type, subtype, payload)
 
 
-def _decode_ip(raw: bytes) -> str:
-    if len(raw) == 4:
-        return int_to_addr(int.from_bytes(raw, "big"), 4)
-    if len(raw) == 16:
-        return int_to_addr(int.from_bytes(raw, "big"), 6)
-    raise MrtError(f"unexpected IP length {len(raw)}")
+#: Decoded attribute blob: the attributes plus the IPv6 prefixes its
+#: MP_REACH_NLRI / MP_UNREACH_NLRI carry.
+DecodedAttributes = tuple[PathAttributes, tuple[Prefix, ...], tuple[Prefix, ...]]
+
+#: One decoded route: ``(timestamp, peer_ip, peer_as, prefix, attributes)``,
+#: with ``attributes`` None for a withdrawal.
+Row = tuple[float, str, int, Prefix, PathAttributes | None]
 
 
 class MrtReader:
@@ -91,33 +100,47 @@ class MrtReader:
 
     TABLE_DUMP_V2 requires state (the PEER_INDEX_TABLE maps peer indices to
     peer IP/AS pairs), hence the class; BGP4MP records are stateless.
+
+    The reader also memoises decoding for the length of one archive scan:
+    each distinct path-attribute blob is decoded once (rows with identical
+    blobs share one immutable :class:`PathAttributes`), and each distinct
+    raw peer address is formatted once.  The memos are keyed by the raw
+    bytes, so they are bounded by the archive, and they live as long as
+    the reader -- :class:`~repro.stream.source.MrtSource` builds a new
+    reader for every scan.  Malformed bytes raise :class:`MrtError` or
+    :class:`~repro.bgp.wire.WireError`.
     """
 
     def __init__(self, collector: str = "mrt") -> None:
         self.collector = collector
         self._peer_table: list[tuple[str, int]] = []
+        self._attribute_memo: dict[bytes, DecodedAttributes] = {}
+        self._address_memo: dict[bytes, str] = {}
 
     # ------------------------------------------------------------------ #
-    def messages(self, data: bytes) -> Iterator[BgpMessage]:
-        """Yield BGP messages from an MRT byte buffer."""
+    def messages(
+        self, data: bytes | memoryview, prefix_filter=None
+    ) -> Iterator[BgpMessage]:
+        """Yield BGP messages from an MRT byte buffer.
+
+        With ``prefix_filter``, messages whose prefix fails it are dropped
+        before their attributes are decoded.
+        """
         for record in read_records(data):
-            yield from self.messages_from_record(record)
+            yield from self.messages_from_record(record, prefix_filter)
 
-    def messages_from_record(self, record: MrtRecord) -> Iterator[BgpMessage]:
-        if record.mrt_type in (MrtType.BGP4MP, MrtType.BGP4MP_ET):
-            yield from self._decode_bgp4mp(record)
-        elif record.mrt_type == MrtType.TABLE_DUMP_V2:
-            if record.subtype == MrtSubtype.PEER_INDEX_TABLE:
-                self._load_peer_index(record.payload)
-            elif record.subtype in (
-                MrtSubtype.RIB_IPV4_UNICAST,
-                MrtSubtype.RIB_IPV6_UNICAST,
-            ):
-                family = 4 if record.subtype == MrtSubtype.RIB_IPV4_UNICAST else 6
-                yield from self._decode_rib_entry(record, family)
-        # Unknown types are skipped, mirroring tolerant MRT tooling.
+    def messages_from_record(
+        self, record: MrtRecord, prefix_filter=None
+    ) -> Iterator[BgpMessage]:
+        collector = self.collector
+        for timestamp, peer_ip, peer_as, prefix, attributes in self._rows(
+            record, prefix_filter
+        ):
+            if attributes is None:
+                yield BgpWithdrawal(timestamp, collector, peer_ip, peer_as, prefix)
+            else:
+                yield BgpUpdate(timestamp, collector, peer_ip, peer_as, prefix, attributes)
 
-    # ------------------------------------------------------------------ #
     def row_specs(
         self,
         data: bytes | memoryview,
@@ -147,15 +170,10 @@ class MrtReader:
         empty_communities = CommunitySet()
         collector = self.collector
         for record in read_records(data):
-            if record.mrt_type in (MrtType.BGP4MP, MrtType.BGP4MP_ET):
-                header = self._decode_bgp4mp_header(record)
-                if header is None:
-                    continue
-                peer_ip, peer_as, decoded = header
-                timestamp = record.timestamp
-                for prefix in decoded.withdrawn:
-                    if prefix_filter is not None and not prefix_filter(prefix):
-                        continue
+            for timestamp, peer_ip, peer_as, prefix, attributes in self._rows(
+                record, prefix_filter
+            ):
+                if attributes is None:
                     yield (
                         timestamp,
                         TYPE_WITHDRAWAL,
@@ -174,10 +192,7 @@ class MrtReader:
                             prefix=prefix,
                         ),
                     )
-                attributes = decoded.attributes
-                for prefix in decoded.announced:
-                    if prefix_filter is not None and not prefix_filter(prefix):
-                        continue
+                else:
                     yield (
                         timestamp,
                         announce_code,
@@ -199,173 +214,177 @@ class MrtReader:
                             communities=attributes.communities,
                         ),
                     )
-            elif record.mrt_type == MrtType.TABLE_DUMP_V2:
-                if record.subtype == MrtSubtype.PEER_INDEX_TABLE:
-                    self._load_peer_index(record.payload)
-                elif record.subtype in (
-                    MrtSubtype.RIB_IPV4_UNICAST,
-                    MrtSubtype.RIB_IPV6_UNICAST,
-                ):
-                    family = (
-                        4 if record.subtype == MrtSubtype.RIB_IPV4_UNICAST else 6
-                    )
-                    for entry in self._rib_entries(record, family):
-                        originated, peer_ip, peer_as, prefix, attributes = entry
-                        if prefix_filter is not None and not prefix_filter(prefix):
-                            continue
-                        yield (
-                            originated,
-                            announce_code,
-                            project,
-                            collector,
-                            peer_ip,
-                            prefix,
-                            attributes.communities,
-                            lambda originated=originated, peer_ip=peer_ip, peer_as=peer_as, prefix=prefix, attributes=attributes: StreamElem(
-                                timestamp=originated,
-                                elem_type=announce_type,
-                                project=project,
-                                collector=collector,
-                                peer_ip=peer_ip,
-                                peer_as=peer_as,
-                                prefix=prefix,
-                                as_path=attributes.as_path,
-                                next_hop=attributes.next_hop,
-                                communities=attributes.communities,
-                            ),
-                        )
 
     # ------------------------------------------------------------------ #
-    def _decode_bgp4mp_header(self, record: MrtRecord):
-        """Parse a BGP4MP(_ET) record down to ``(peer_ip, peer_as, update)``.
+    def _rows(self, record: MrtRecord, prefix_filter) -> Iterable[Row]:
+        """The routes of one record whose prefix passes ``prefix_filter``.
 
-        Returns ``None`` for subtypes this reader does not handle.  All
-        header reads are in-place ``unpack_from`` calls; the BGP message is
-        decoded from a ``memoryview`` window of the payload.
+        The one record dispatch behind :meth:`messages` and
+        :meth:`row_specs`.  Unknown record types yield nothing, mirroring
+        tolerant MRT tooling.
+        """
+        mrt_type = record.mrt_type
+        if mrt_type == MrtType.BGP4MP or mrt_type == MrtType.BGP4MP_ET:
+            return self._bgp4mp_rows(record, prefix_filter)
+        if mrt_type == MrtType.TABLE_DUMP_V2:
+            subtype = record.subtype
+            if subtype == MrtSubtype.PEER_INDEX_TABLE:
+                self._load_peer_index(record.payload)
+            elif subtype in (MrtSubtype.RIB_IPV4_UNICAST, MrtSubtype.RIB_IPV6_UNICAST):
+                return self._rib_rows(record, prefix_filter)
+        return ()
+
+    def _attributes(self, blob: bytes | memoryview) -> DecodedAttributes:
+        """Decode an attribute blob, once per distinct blob in this scan."""
+        key = bytes(blob)
+        decoded = self._attribute_memo.get(key)
+        if decoded is None:
+            announced: list[Prefix] = []
+            withdrawn: list[Prefix] = []
+            attributes = decode_attributes(key, announced, withdrawn)
+            decoded = (attributes, tuple(announced), tuple(withdrawn))
+            self._attribute_memo[key] = decoded
+        return decoded
+
+    def _address(self, payload: memoryview, offset: int, length: int, name: str) -> str:
+        """Format the raw IPv4/IPv6 address at ``offset``, once per address."""
+        end = offset + length
+        if end > len(payload):
+            raise MrtError(f"truncated {name}")
+        key = bytes(payload[offset:end])
+        address = self._address_memo.get(key)
+        if address is None:
+            address = int_to_addr(int.from_bytes(key, "big"), 4 if length == 4 else 6)
+            self._address_memo[key] = address
+        return address
+
+    def _bgp4mp_rows(self, record: MrtRecord, prefix_filter) -> list[Row]:
+        """Parse a BGP4MP(_ET) record into its rows, withdrawals first.
+
+        Subtypes this reader does not handle yield no rows.  Header reads
+        are in-place ``unpack_from`` calls over the payload window.  With
+        ``prefix_filter`` the classic NLRI is filtered first, and the
+        attribute blob is decoded only if an announced prefix passes or
+        the blob itself carries (IPv6) prefixes.
         """
         payload = record.payload
-        if record.subtype == MrtSubtype.BGP4MP_MESSAGE_AS4:
+        subtype = record.subtype
+        if subtype == MrtSubtype.BGP4MP_MESSAGE_AS4:
             if len(payload) < 12:
                 raise MrtError("truncated BGP4MP_MESSAGE_AS4 header")
             peer_as, _local_as, _ifindex, afi = struct.unpack_from("!IIHH", payload)
             offset = 12
-        elif record.subtype == MrtSubtype.BGP4MP_MESSAGE:
+        elif subtype == MrtSubtype.BGP4MP_MESSAGE:
             if len(payload) < 8:
                 raise MrtError("truncated BGP4MP_MESSAGE header")
             peer_as, _local_as, _ifindex, afi = struct.unpack_from("!HHHH", payload)
             offset = 8
         else:
-            return None
-        addr_len = 4 if afi == 1 else 16
-        peer_ip = _decode_ip(payload[offset : offset + addr_len])
+            return []
+        if afi == _AFI_IPV4:
+            addr_len = 4
+        elif afi == _AFI_IPV6:
+            addr_len = 16
+        else:
+            raise MrtError(f"BGP4MP address family {afi} is neither IPv4 nor IPv6")
+        peer_ip = self._address(payload, offset, addr_len, "BGP4MP peer address")
         offset += 2 * addr_len  # skip local IP too
-        bgp_bytes = payload[offset:]
-        # memoryview has no startswith; slice-compare checks the same bytes
-        # (a short tail yields a short slice, which simply compares unequal).
-        if bgp_bytes[:16] != BGP_HEADER_MARKER:
-            raise MrtError("BGP4MP payload does not contain a BGP message")
-        return peer_ip, peer_as, decode_update(bgp_bytes)
-
-    def _decode_bgp4mp(self, record: MrtRecord) -> Iterator[BgpMessage]:
-        header = self._decode_bgp4mp_header(record)
-        if header is None:
-            return
-        peer_ip, peer_as, decoded = header
-        for prefix in decoded.withdrawn:
-            yield BgpWithdrawal(
-                timestamp=record.timestamp,
-                collector=self.collector,
-                peer_ip=peer_ip,
-                peer_as=peer_as,
-                prefix=prefix,
-            )
-        for prefix in decoded.announced:
-            yield BgpUpdate(
-                timestamp=record.timestamp,
-                collector=self.collector,
-                peer_ip=peer_ip,
-                peer_as=peer_as,
-                prefix=prefix,
-                attributes=decoded.attributes,
-            )
+        withdrawn, blob, announced = split_update(payload[offset:])
+        attributes = None
+        if prefix_filter is not None:
+            withdrawn = [prefix for prefix in withdrawn if prefix_filter(prefix)]
+            announced = [prefix for prefix in announced if prefix_filter(prefix)]
+        if prefix_filter is None or announced or has_mp_nlri(blob):
+            attributes, mp_announced, mp_withdrawn = self._attributes(blob)
+            withdrawn += _passing(mp_withdrawn, prefix_filter)
+            announced += _passing(mp_announced, prefix_filter)
+        timestamp = record.timestamp
+        rows = [(timestamp, peer_ip, peer_as, prefix, None) for prefix in withdrawn]
+        rows += [(timestamp, peer_ip, peer_as, prefix, attributes) for prefix in announced]
+        return rows
 
     def _load_peer_index(self, payload: bytes | memoryview) -> None:
-        unpack_from = struct.unpack_from
-        offset = 4  # skip collector BGP ID
-        name_len = unpack_from("!H", payload, offset)[0]
-        offset += 2 + name_len
-        peer_count = unpack_from("!H", payload, offset)[0]
+        size = len(payload)
+        if size < 8:
+            raise MrtError("truncated PEER_INDEX_TABLE header")
+        name_len = struct.unpack_from("!H", payload, 4)[0]  # after collector BGP ID
+        offset = 6 + name_len
+        if offset + 2 > size:
+            raise MrtError("truncated PEER_INDEX_TABLE view name")
+        peer_count = struct.unpack_from("!H", payload, offset)[0]
         offset += 2
         peers: list[tuple[str, int]] = []
         for _ in range(peer_count):
+            if offset >= size:
+                raise MrtError(f"truncated PEER_INDEX_TABLE: {len(peers)} of {peer_count} peers")
             peer_type = payload[offset]
             offset += 1 + 4  # type + peer BGP ID
             addr_len = 16 if peer_type & PEER_TYPE_IPV6 else 4
-            peer_ip = _decode_ip(payload[offset : offset + addr_len])
+            peer_ip = self._address(payload, offset, addr_len, "PEER_INDEX_TABLE peer address")
             offset += addr_len
-            if peer_type & PEER_TYPE_AS4:
-                peer_as = unpack_from("!I", payload, offset)[0]
-                offset += 4
-            else:
-                peer_as = unpack_from("!H", payload, offset)[0]
-                offset += 2
+            as_len = 4 if peer_type & PEER_TYPE_AS4 else 2
+            if offset + as_len > size:
+                raise MrtError("truncated PEER_INDEX_TABLE peer AS")
+            peer_as = int.from_bytes(payload[offset : offset + as_len], "big")
+            offset += as_len
             peers.append((peer_ip, peer_as))
         self._peer_table = peers
 
-    def _rib_entries(self, record: MrtRecord, family: int):
-        """Parse one RIB record into ``(originated, peer_ip, peer_as,
-        prefix, attributes)`` tuples, in place over the payload."""
-        if not self._peer_table:
+    def _rib_rows(self, record: MrtRecord, prefix_filter) -> Iterator[Row]:
+        """Parse one RIB record into its rows, in place over the payload.
+
+        A record whose prefix fails ``prefix_filter`` yields nothing, and
+        none of its attribute blobs is decoded.
+        """
+        peers = self._peer_table
+        if not peers:
             raise MrtError("RIB entry before PEER_INDEX_TABLE")
         payload = record.payload
-        unpack_from = struct.unpack_from
-        offset = 4  # sequence number
-        length = payload[offset]
-        offset += 1
+        size = len(payload)
+        if size < 5:
+            raise MrtError("truncated RIB record header")
+        family = 4 if record.subtype == MrtSubtype.RIB_IPV4_UNICAST else 6
+        bits = 32 if family == 4 else 128
+        length = payload[4]  # after the sequence number
+        if length > bits:
+            raise MrtError(f"RIB record prefix length {length} exceeds {bits}")
         nbytes = (length + 7) // 8
-        total_bytes = 4 if family == 4 else 16
+        offset = 5 + nbytes
+        if offset + 2 > size:
+            raise MrtError("truncated RIB record prefix or entry count")
         # Left-align the prefix bits arithmetically instead of padding a
         # byte copy (memoryview payloads do not concatenate).
-        network = int.from_bytes(payload[offset : offset + nbytes], "big") << (
-            8 * (total_bytes - nbytes)
-        )
+        network = int.from_bytes(payload[5:offset], "big") << (bits - 8 * nbytes)
         prefix = Prefix.make(family, network, length)
-        offset += nbytes
-        entry_count = unpack_from("!H", payload, offset)[0]
+        if prefix_filter is not None and not prefix_filter(prefix):
+            return
+        entry_count = struct.unpack_from("!H", payload, offset)[0]
         offset += 2
+        unpack_from = struct.unpack_from
+        attributes_of = self._attributes
         for _ in range(entry_count):
+            if offset + 8 > size:
+                raise MrtError("truncated RIB entry header")
             peer_index, originated, attrs_len = unpack_from("!HIH", payload, offset)
             offset += 8
-            attrs_raw = payload[offset : offset + attrs_len]
-            offset += attrs_len
-            attributes = _decode_bare_attributes(attrs_raw)
-            peer_ip, peer_as = self._peer_table[peer_index]
+            end = offset + attrs_len
+            if end > size:
+                raise MrtError("truncated RIB entry attributes")
+            if peer_index >= len(peers):
+                raise MrtError(
+                    f"RIB entry peer index {peer_index} past the "
+                    f"PEER_INDEX_TABLE ({len(peers)} peers)"
+                )
+            peer_ip, peer_as = peers[peer_index]
+            attributes = attributes_of(payload[offset:end])[0]
+            offset = end
             yield float(originated), peer_ip, peer_as, prefix, attributes
 
-    def _decode_rib_entry(self, record: MrtRecord, family: int) -> Iterator[BgpUpdate]:
-        for originated, peer_ip, peer_as, prefix, attributes in self._rib_entries(
-            record, family
-        ):
-            yield BgpUpdate(
-                timestamp=originated,
-                collector=self.collector,
-                peer_ip=peer_ip,
-                peer_as=peer_as,
-                prefix=prefix,
-                attributes=attributes,
-            )
 
-
-def _decode_bare_attributes(attrs_raw: bytes | memoryview) -> PathAttributes:
-    """Decode a bare path-attribute blob by wrapping it into a fake UPDATE."""
-    body = (
-        struct.pack("!H", 0)  # no withdrawn routes
-        + struct.pack("!H", len(attrs_raw))
-        + bytes(attrs_raw)
-    )
-    total = 19 + len(body)
-    message = BGP_HEADER_MARKER + struct.pack("!HB", total, 2) + body
-    return decode_update(message).attributes
+def _passing(prefixes: tuple[Prefix, ...], prefix_filter) -> list[Prefix]:
+    if prefix_filter is None:
+        return list(prefixes)
+    return [prefix for prefix in prefixes if prefix_filter(prefix)]
 
 
 def read_messages(data: bytes, collector: str = "mrt") -> Iterator[BgpMessage]:

@@ -225,7 +225,10 @@ class MrtSource:
 
     The RIB archive (TABLE_DUMP_V2) and update archive (BGP4MP) are decoded
     lazily on iteration so large archives never need to be held twice in
-    memory.
+    memory.  Every scan builds a fresh :class:`~repro.mrt.reader.MrtReader`,
+    so its per-scan memos (attribute blobs, peer addresses) die with the
+    scan, and a ``prefix_filter`` is applied inside the reader, before a
+    rejected message's attributes are decoded.
     """
 
     def __init__(
@@ -246,9 +249,7 @@ class MrtSource:
         if not self._rib_bytes:
             return iter(())
         reader = MrtReader(collector=self.collector)
-        return dump_elems(
-            reader.messages(self._rib_bytes), self.project, prefix_filter
-        )
+        return dump_elems(reader.messages(self._rib_bytes, prefix_filter), self.project)
 
     def update_stream(
         self, prefix_filter: PrefixPredicate | None = None
@@ -256,9 +257,7 @@ class MrtSource:
         if not self._update_bytes:
             return iter(())
         reader = MrtReader(collector=self.collector)
-        return update_elems(
-            reader.messages(self._update_bytes), self.project, prefix_filter
-        )
+        return update_elems(reader.messages(self._update_bytes, prefix_filter), self.project)
 
     def all_elems(
         self, prefix_filter: PrefixPredicate | None = None

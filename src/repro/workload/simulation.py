@@ -16,7 +16,7 @@ in dependency order:
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.attacks.timeline import AttackTimeline, generate_timeline

@@ -4,7 +4,7 @@ import pytest
 
 from repro.bgp.community import Community
 from repro.core.cleaning import BgpCleaner
-from repro.core.events import DetectionMethod, EndCause
+from repro.core.events import EndCause
 from repro.core.inference import TABLE_DUMP_START, BlackholingInferenceEngine
 from repro.dictionary.model import BlackholeDictionary, CommunityEntry, CommunitySource
 from repro.netutils.prefixes import Prefix

@@ -11,7 +11,6 @@ from repro.dictionary.nlp import (
     tokenize,
 )
 from repro.dictionary.scraper import DocumentationScraper
-from repro.topology.blackholing import DocumentationChannel
 
 
 class TestNlp:

@@ -1,8 +1,6 @@
 """Integration tests: full pipeline against ground truth, MRT round trip,
 per-dataset visibility, and ablation switches."""
 
-import pytest
-
 from repro.analysis.pipeline import StudyPipeline
 from repro.core.events import DetectionMethod
 from repro.mrt.writer import write_rib, write_updates

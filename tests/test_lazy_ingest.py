@@ -47,7 +47,7 @@ from repro.stream.batch import (
 )
 from repro.stream.filters import TimeWindowFilter
 from repro.stream.merger import BgpStream
-from repro.stream.record import ElemType, StreamElem
+from repro.stream.record import StreamElem
 from repro.stream.source import CollectorSource, MrtSource
 
 _DICTIONARY = BlackholeDictionary(

@@ -2,10 +2,10 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.bgp.attributes import AsPath, PathAttributes
+from repro.bgp.attributes import AsPath, Origin, PathAttributes
 from repro.bgp.community import Community, CommunitySet, LargeCommunity
 from repro.bgp.message import BgpUpdate, BgpWithdrawal
-from repro.bgp.wire import decode_update, encode_update
+from repro.bgp.wire import BGP_HEADER_MARKER, decode_attributes, decode_update, encode_update
 from repro.core.events import BlackholingObservation, DetectionMethod
 from repro.core.grouping import correlate_prefix_events, group_into_periods
 from repro.mrt.writer import write_updates
@@ -152,6 +152,52 @@ class TestCodecProperties:
         assert len(decoded.announced) == len(announced)
         assert decoded.attributes.as_path.hops == tuple(hops)
         assert decoded.attributes.communities.standard == frozenset(comms)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        # One next hop per UPDATE, so the announced prefixes share a family.
+        st.one_of(st.lists(ipv4_prefixes, max_size=4), st.lists(ipv6_prefixes, max_size=4)),
+        st.lists(prefixes, max_size=4),
+        as_paths,
+        st.lists(communities, max_size=6),
+        st.lists(large_communities, max_size=3),
+        st.sampled_from(list(Origin)),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=2**32 - 1)),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=2**32 - 1)),
+    )
+    def test_decode_attributes_matches_decode_update(
+        self, announced, withdrawn, path, comms, large, origin, med, local_pref
+    ):
+        attributes = PathAttributes(
+            origin=origin,
+            as_path=path,
+            next_hop="2001:db8::1" if any(p.family == 6 for p in announced) else "192.0.2.1",
+            med=med,
+            local_pref=local_pref,
+            communities=CommunitySet(comms, large),
+        )
+        data = encode_update(announced=announced, withdrawn=withdrawn, attributes=attributes)
+        withdrawn_len = int.from_bytes(data[19:21], "big")
+        start = 23 + withdrawn_len
+        blob = data[start : start + int.from_bytes(data[start - 2 : start], "big")]
+        # The same blob as the only content of an UPDATE: no classic NLRI.
+        wrapped = (
+            BGP_HEADER_MARKER
+            + (23 + len(blob)).to_bytes(2, "big")
+            + b"\x02\x00\x00"
+            + len(blob).to_bytes(2, "big")
+            + blob
+        )
+        mp_announced: list[Prefix] = []
+        mp_withdrawn: list[Prefix] = []
+        decoded = decode_update(wrapped)
+        assert decode_attributes(blob, mp_announced, mp_withdrawn) == decoded.attributes
+        assert mp_announced == decoded.announced
+        assert mp_withdrawn == decoded.withdrawn
+        assert mp_announced == [p for p in announced if p.family == 6]
+        assert mp_withdrawn == [p for p in withdrawn if p.family == 6]
+        if announced:
+            assert decoded.attributes == attributes
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.routing.collectors import FeedBuilder, build_default_platforms
+from repro.routing.collectors import FeedBuilder
 from repro.routing.policy import RouteClass, better_route, should_export
 from repro.routing.propagation import RoutePropagator, bounded_flood
 from repro.topology.asgraph import AsGraph, Relationship

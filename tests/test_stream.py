@@ -3,7 +3,6 @@
 from repro.bgp.message import BgpUpdate, BgpWithdrawal
 from repro.bgp.rib import Rib
 from repro.mrt.writer import write_rib, write_updates
-from repro.netutils.prefixes import Prefix
 from repro.stream.filters import (
     CollectorFilter,
     CommunityFilter,
