@@ -45,20 +45,22 @@ from repro.bgp.community import (
 from repro.netutils.prefixes import Prefix, addr_to_int, int_to_addr
 
 __all__ = [
+    "AFI_IPV4",
+    "AFI_IPV6",
     "DecodedUpdate",
     "WireError",
     "decode_attributes",
     "decode_update",
     "encode_update",
-    "has_mp_nlri",
     "split_update",
 ]
 
 BGP_HEADER_MARKER = b"\xff" * 16
 BGP_MSG_UPDATE = 2
 
-_AFI_IPV4 = 1
-_AFI_IPV6 = 2
+#: Address family identifiers (RFC 4760), shared with the MRT codec.
+AFI_IPV4 = 1
+AFI_IPV6 = 2
 _SAFI_UNICAST = 1
 
 
@@ -149,19 +151,20 @@ def _encode_next_hop_v4(next_hop: str) -> bytes:
 # --------------------------------------------------------------------------- #
 # Attribute decoding
 # --------------------------------------------------------------------------- #
-# Plain-int type codes and flags: the decoder compares them once per
-# attribute, where IntEnum/IntFlag arithmetic costs a Python-level call.
-_FLAG_EXTENDED_LENGTH = 0x10
-_TYPE_ORIGIN = 1
-_TYPE_AS_PATH = 2
-_TYPE_NEXT_HOP = 3
-_TYPE_MED = 4
-_TYPE_LOCAL_PREF = 5
-_TYPE_COMMUNITIES = 8
-_TYPE_MP_REACH = 14
-_TYPE_MP_UNREACH = 15
-_TYPE_EXTENDED_COMMUNITIES = 16
-_TYPE_LARGE_COMMUNITIES = 32
+# Plain-int type codes and flags, taken from the enums once: the decoder
+# compares them once per attribute, where IntEnum/IntFlag arithmetic costs a
+# Python-level call.
+_FLAG_EXTENDED_LENGTH = int(AttributeFlag.EXTENDED_LENGTH)
+_TYPE_ORIGIN = int(AttributeType.ORIGIN)
+_TYPE_AS_PATH = int(AttributeType.AS_PATH)
+_TYPE_NEXT_HOP = int(AttributeType.NEXT_HOP)
+_TYPE_MED = int(AttributeType.MULTI_EXIT_DISC)
+_TYPE_LOCAL_PREF = int(AttributeType.LOCAL_PREF)
+_TYPE_COMMUNITIES = int(AttributeType.COMMUNITIES)
+_TYPE_MP_REACH = int(AttributeType.MP_REACH_NLRI)
+_TYPE_MP_UNREACH = int(AttributeType.MP_UNREACH_NLRI)
+_TYPE_EXTENDED_COMMUNITIES = int(AttributeType.EXTENDED_COMMUNITIES)
+_TYPE_LARGE_COMMUNITIES = int(AttributeType.LARGE_COMMUNITIES)
 
 #: ORIGIN attribute value -> :class:`Origin`, indexed by the wire octet.
 _ORIGINS = tuple(Origin)
@@ -194,27 +197,6 @@ def _decode_as_path(blob: bytes | memoryview, offset: int, end: int) -> AsPath:
         else:
             raise WireError(f"unsupported AS_PATH segment type {segment_type}")
     return AsPath(tuple(hops))
-
-
-def has_mp_nlri(blob: bytes | memoryview) -> bool:
-    """True if the attribute blob may carry MP_REACH/MP_UNREACH prefixes.
-
-    Walks the attribute headers only.  A malformed blob answers True, so a
-    caller that skips decoding on False never hides a decode error.
-    """
-    offset = 0
-    size = len(blob)
-    while offset + 3 <= size:
-        type_code = blob[offset + 1]
-        if type_code == _TYPE_MP_REACH or type_code == _TYPE_MP_UNREACH:
-            return True
-        if blob[offset] & _FLAG_EXTENDED_LENGTH:
-            if offset + 4 > size:
-                return True
-            offset += 4 + ((blob[offset + 2] << 8) | blob[offset + 3])
-        else:
-            offset += 3 + blob[offset + 2]
-    return offset != size
 
 
 def decode_attributes(
@@ -300,7 +282,7 @@ def decode_attributes(
             nlri_start = offset + 4 + nh_len + 1  # skip the reserved octet
             if nlri_start > end:
                 raise WireError(f"MP_REACH_NLRI next-hop length {nh_len} overruns")
-            if afi == _AFI_IPV6 and safi == _SAFI_UNICAST:
+            if afi == AFI_IPV6 and safi == _SAFI_UNICAST:
                 if nh_len >= 16:
                     next_hop = int_to_addr(
                         int.from_bytes(blob[offset + 4 : offset + 20], "big"), 6
@@ -311,7 +293,7 @@ def decode_attributes(
             if length < 3:
                 raise WireError("truncated MP_UNREACH_NLRI header")
             afi, safi = _unpack_from("!HB", blob, offset)
-            if afi == _AFI_IPV6 and safi == _SAFI_UNICAST and withdrawn is not None:
+            if afi == AFI_IPV6 and safi == _SAFI_UNICAST and withdrawn is not None:
                 withdrawn.extend(_decode_nlri(blob, 6, offset + 3, end))
         offset = end
 
@@ -418,7 +400,7 @@ def encode_update(
         else:
             nh_bytes = nh_value.to_bytes(16, "big")
         mp_reach = (
-            struct.pack("!HBB", _AFI_IPV6, _SAFI_UNICAST, len(nh_bytes))
+            struct.pack("!HBB", AFI_IPV6, _SAFI_UNICAST, len(nh_bytes))
             + nh_bytes
             + b"\x00"  # reserved
             + b"".join(_encode_nlri(p) for p in announced_v6)
@@ -427,7 +409,7 @@ def encode_update(
             _encode_attribute(AttributeType.MP_REACH_NLRI, mp_reach, optional=True)
         )
     if withdrawn_v6:
-        mp_unreach = struct.pack("!HB", _AFI_IPV6, _SAFI_UNICAST) + b"".join(
+        mp_unreach = struct.pack("!HB", AFI_IPV6, _SAFI_UNICAST) + b"".join(
             _encode_nlri(p) for p in withdrawn_v6
         )
         attr_chunks.append(

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.message import BgpMessage, BgpUpdate, BgpWithdrawal
-from repro.bgp.wire import decode_attributes, has_mp_nlri, split_update
+from repro.bgp.wire import AFI_IPV4, AFI_IPV6, decode_attributes, split_update
 from repro.mrt.constants import (
     PEER_TYPE_AS4,
     PEER_TYPE_IPV6,
@@ -30,10 +30,6 @@ from repro.mrt.constants import (
 from repro.netutils.prefixes import Prefix, int_to_addr
 
 __all__ = ["MrtError", "MrtReader", "MrtRecord", "read_messages", "read_records"]
-
-
-_AFI_IPV4 = 1
-_AFI_IPV6 = 2
 
 
 class MrtError(ValueError):
@@ -123,8 +119,9 @@ class MrtReader:
     ) -> Iterator[BgpMessage]:
         """Yield BGP messages from an MRT byte buffer.
 
-        With ``prefix_filter``, messages whose prefix fails it are dropped
-        before their attributes are decoded.
+        With ``prefix_filter``, messages whose prefix fails it are dropped;
+        a RIB record whose prefix fails is skipped before its entries are
+        decoded.
         """
         for record in read_records(data):
             yield from self.messages_from_record(record, prefix_filter)
@@ -262,10 +259,10 @@ class MrtReader:
         """Parse a BGP4MP(_ET) record into its rows, withdrawals first.
 
         Subtypes this reader does not handle yield no rows.  Header reads
-        are in-place ``unpack_from`` calls over the payload window.  With
-        ``prefix_filter`` the classic NLRI is filtered first, and the
-        attribute blob is decoded only if an announced prefix passes or
-        the blob itself carries (IPv6) prefixes.
+        are in-place ``unpack_from`` calls over the payload window.  The
+        attribute blob is always decoded (once per distinct blob, through
+        the scan memo), so a malformed blob raises whatever the filter is;
+        ``prefix_filter`` then drops the classic and MP prefixes that fail.
         """
         payload = record.payload
         subtype = record.subtype
@@ -281,23 +278,21 @@ class MrtReader:
             offset = 8
         else:
             return []
-        if afi == _AFI_IPV4:
+        if afi == AFI_IPV4:
             addr_len = 4
-        elif afi == _AFI_IPV6:
+        elif afi == AFI_IPV6:
             addr_len = 16
         else:
             raise MrtError(f"BGP4MP address family {afi} is neither IPv4 nor IPv6")
         peer_ip = self._address(payload, offset, addr_len, "BGP4MP peer address")
         offset += 2 * addr_len  # skip local IP too
         withdrawn, blob, announced = split_update(payload[offset:])
-        attributes = None
+        attributes, mp_announced, mp_withdrawn = self._attributes(blob)
+        withdrawn += mp_withdrawn
+        announced += mp_announced
         if prefix_filter is not None:
             withdrawn = [prefix for prefix in withdrawn if prefix_filter(prefix)]
             announced = [prefix for prefix in announced if prefix_filter(prefix)]
-        if prefix_filter is None or announced or has_mp_nlri(blob):
-            attributes, mp_announced, mp_withdrawn = self._attributes(blob)
-            withdrawn += _passing(mp_withdrawn, prefix_filter)
-            announced += _passing(mp_announced, prefix_filter)
         timestamp = record.timestamp
         rows = [(timestamp, peer_ip, peer_as, prefix, None) for prefix in withdrawn]
         rows += [(timestamp, peer_ip, peer_as, prefix, attributes) for prefix in announced]
@@ -379,12 +374,6 @@ class MrtReader:
             attributes = attributes_of(payload[offset:end])[0]
             offset = end
             yield float(originated), peer_ip, peer_as, prefix, attributes
-
-
-def _passing(prefixes: tuple[Prefix, ...], prefix_filter) -> list[Prefix]:
-    if prefix_filter is None:
-        return list(prefixes)
-    return [prefix for prefix in prefixes if prefix_filter(prefix)]
 
 
 def read_messages(data: bytes, collector: str = "mrt") -> Iterator[BgpMessage]:

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from repro.bgp.message import BgpMessage, BgpUpdate, BgpWithdrawal
 from repro.bgp.rib import Rib
-from repro.bgp.wire import encode_update
+from repro.bgp.wire import AFI_IPV4, AFI_IPV6, encode_update
 from repro.mrt.constants import (
     PEER_TYPE_AS4,
     PEER_TYPE_IPV6,
@@ -27,10 +27,6 @@ from repro.mrt.constants import (
 from repro.netutils.prefixes import addr_to_int
 
 __all__ = ["MrtWriter", "write_rib", "write_updates"]
-
-_AFI_IPV4 = 1
-_AFI_IPV6 = 2
-
 
 def _encode_header(
     timestamp: float, mrt_type: int, subtype: int, payload: bytes, extended: bool
@@ -62,7 +58,7 @@ class MrtWriter:
     def add_bgp4mp_message(self, message: BgpMessage, local_as: int = 0) -> None:
         """Append one BGP4MP_ET record for an update or withdrawal."""
         family = 4 if ":" not in message.peer_ip else 6
-        afi = _AFI_IPV4 if family == 4 else _AFI_IPV6
+        afi = AFI_IPV4 if family == 4 else AFI_IPV6
         local_ip = "0.0.0.0" if family == 4 else "::"
 
         if isinstance(message, BgpUpdate):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,7 +14,7 @@ from repro.bgp.attributes import AsPath, Origin, PathAttributes
 from repro.bgp.community import Community, CommunitySet, ExtendedCommunity, LargeCommunity
 from repro.bgp.message import BgpUpdate, BgpWithdrawal
 from repro.bgp.rib import Rib
-from repro.bgp.wire import WireError
+from repro.bgp.wire import WireError, encode_update
 from repro.mrt import reader as mrt_reader
 from repro.mrt.reader import MrtError, MrtReader
 from repro.mrt.writer import write_rib, write_updates
@@ -136,21 +137,42 @@ class TestAttributeMemo:
 # Prefix filter before decoding
 # --------------------------------------------------------------------------- #
 class TestPrefixFilter:
-    def test_reject_all_decodes_no_attributes(self, decode_calls):
+    def test_reject_all_decodes_each_update_blob_once(self, decode_calls):
         reject = lambda prefix: False
         rib_bytes, update_bytes = write_rib(_rib()), write_updates(_updates())
-        assert list(MrtReader().messages(rib_bytes, reject)) == []
-        assert list(MrtReader().messages(update_bytes, reject)) == []
-        assert list(MrtReader().row_specs(update_bytes, "ris", prefix_filter=reject)) == []
-        source = MrtSource("ris", "rrc00", rib_bytes=rib_bytes, update_bytes=update_bytes)
-        assert list(source.all_elems(reject)) == []
-        assert decode_calls == []
+        # Two attribute sets plus the empty blob of the withdrawals.
+        update_blobs = 3
+        scans = [
+            (lambda: MrtReader().messages(rib_bytes, reject), 0),
+            (lambda: MrtReader().messages(update_bytes, reject), update_blobs),
+            (lambda: MrtReader().row_specs(update_bytes, "ris", prefix_filter=reject), update_blobs),
+            (
+                lambda: MrtSource(
+                    "ris", "rrc00", rib_bytes=rib_bytes, update_bytes=update_bytes
+                ).all_elems(reject),
+                update_blobs,
+            ),
+        ]
+        for scan, decodes in scans:
+            decode_calls.clear()
+            assert list(scan()) == []
+            # A rejected RIB record is skipped whole; every BGP4MP blob is
+            # still decoded, once per distinct blob.
+            assert len(decode_calls) == len(set(decode_calls)) == decodes
 
-    def test_withdrawal_only_pass_skips_the_decode(self, decode_calls):
-        keep = lambda prefix: prefix == Prefix.from_string("198.51.100.0/24")
-        messages = list(MrtReader().messages(write_updates(_updates()[3:]), keep))
-        assert [type(message) for message in messages] == [BgpUpdate, BgpWithdrawal]
-        assert len(decode_calls) == 1
+    def test_filter_does_not_hide_a_malformed_blob(self):
+        withdrawal = BgpWithdrawal(
+            2002.0, "rrc00", "10.0.0.1", 64500, Prefix.from_string("203.0.113.7/32")
+        )
+        # A withdrawal-only UPDATE whose attribute blob carries ORIGIN 9.
+        bgp = encode_update(withdrawn=[withdrawal.prefix])
+        bad = bytearray(bgp[:-2] + (4).to_bytes(2, "big") + b"\x40\x01\x01\x09")
+        bad[16:18] = len(bad).to_bytes(2, "big")
+        data = bytearray(write_updates([withdrawal]))[: -len(bgp)] + bad
+        data[8:12] = (len(data) - 12).to_bytes(4, "big")
+        for prefix_filter in (None, lambda prefix: True, lambda prefix: False):
+            with pytest.raises(WireError, match="ORIGIN value 9"):
+                list(MrtReader().messages(bytes(data), prefix_filter))
 
     def test_filter_sees_prefixes_carried_in_mp_attributes(self):
         rib_bytes, update_bytes = _mixed_family_archives()
@@ -176,6 +198,10 @@ class TestPrefixFilter:
         sharded = StudyPipeline(dataset, workers=4, backend="process").run()
         assert set(serial.observations) == set(sharded.observations)
         assert len(serial.observations) == len(sharded.observations) > 0
+        # The MRT-encoded collectors yield the in-memory study's observations.
+        key = lambda o: (o.prefix, o.project, o.collector, o.peer_ip, o.provider_key, o.community)
+        memory = StudyPipeline(small_dataset).result().observations
+        assert sorted(map(key, serial.observations)) == sorted(map(key, memory))
 
 
 def _as_mrt(dataset):
@@ -297,16 +323,8 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("kind", ["rib", "updates"])
     def test_truncations_and_byte_flips_raise_only_typed_errors(self, kind):
-        rib_bytes, update_bytes = _mixed_family_archives()
-        data = rib_bytes if kind == "rib" else update_bytes
-        rng = random.Random(f"mrt-fuzz-{kind}")
-        variants = [data[:cut] for cut in range(len(data))]
-        for _ in range(2000):
-            flipped = bytearray(data)
-            flipped[rng.randrange(len(data))] ^= rng.randrange(1, 256)
-            variants.append(bytes(flipped))
         outcomes = {"decoded": 0, "MrtError": 0, "WireError": 0}
-        for variant in variants:
+        for variant in _fuzz_corpus(kind):
             try:
                 _decode_everything(variant)
             except (MrtError, WireError) as exc:
@@ -315,3 +333,37 @@ class TestMalformedInput:
                 outcomes["decoded"] += 1
         # Each outcome occurs, so the corpus reaches every layer.
         assert all(outcomes.values()), outcomes
+
+    @pytest.mark.parametrize("kind", ["rib", "updates"])
+    def test_sharded_scans_fail_where_the_serial_scan_fails(self, kind):
+        # Two shards split the prefixes by their last network bit.
+        def shard(parity):
+            return lambda prefix: (prefix.network >> (prefix.bits - prefix.length)) % 2 == parity
+
+        for variant in _fuzz_corpus(kind):
+            serial = _messages_or_error(variant, None)
+            shards = [_messages_or_error(variant, shard(parity)) for parity in (0, 1)]
+            if isinstance(serial, Exception):
+                assert any(isinstance(result, Exception) for result in shards), serial
+            else:
+                assert Counter(shards[0]) + Counter(shards[1]) == Counter(serial)
+
+
+def _messages_or_error(data: bytes, prefix_filter) -> list | Exception:
+    try:
+        return list(MrtReader().messages(data, prefix_filter))
+    except (MrtError, WireError) as exc:
+        return exc
+
+
+def _fuzz_corpus(kind: str) -> list[bytes]:
+    """Every truncation and 2,000 seeded 1-byte flips of a mixed archive."""
+    rib_bytes, update_bytes = _mixed_family_archives()
+    data = rib_bytes if kind == "rib" else update_bytes
+    rng = random.Random(f"mrt-fuzz-{kind}")
+    variants = [data[:cut] for cut in range(len(data))]
+    for _ in range(2000):
+        flipped = bytearray(data)
+        flipped[rng.randrange(len(data))] ^= rng.randrange(1, 256)
+        variants.append(bytes(flipped))
+    return variants
