@@ -2,8 +2,9 @@
 
 Not a table or figure, but the operational cost the paper's Section 4
 pipeline would incur: scenario/feed generation, the dictionary build, and
-the streaming inference pass -- elem-at-a-time AND through the columnar
-:class:`~repro.stream.batch.ElemBatch` hot path.  The throughput recorded
+the streaming inference pass -- through the columnar
+:class:`~repro.stream.batch.ElemBatch` kernel every production pass uses,
+and elem-at-a-time through ``process()``, the kernel's per-elem oracle.  The throughput recorded
 in ``results/pipeline.txt`` is the single source of truth for pipeline
 speed (ROADMAP/README cite this file, not hand-copied numbers), and the
 O(batches)-dispatch property is asserted via the engine's dispatch
@@ -19,13 +20,10 @@ from repro.dictionary.builder import DictionaryBuilder
 from repro.dictionary.model import BlackholeDictionary, CommunityEntry, CommunitySource
 from repro.exec import ExecutionPlan
 from repro.exec.plan import _split_batch, shard_of_key
-from repro.stream.batch import batch_elems
+from repro.stream.batch import BATCH_SIZE, batch_elems
 from repro.workload.simulation import ScenarioSimulator
 
 from bench_helpers import bench_scenario_config, write_json_result, write_result
-
-#: The batch size the CI smoke and the README examples use.
-BATCH_SIZE = 512
 
 
 def test_bench_scenario_generation(benchmark):
@@ -47,7 +45,8 @@ def test_bench_inference_pass(benchmark, bench_dataset, bench_result, results_di
 
     def run_per_elem():
         engine = engine_for(dictionary)
-        engine.run(bench_dataset.bgp_stream(), batch_size=None)
+        for elem in bench_dataset.bgp_stream():
+            engine.process(elem)
         engine.finalise(bench_dataset.end)
         return engine
 
@@ -62,8 +61,10 @@ def test_bench_inference_pass(benchmark, bench_dataset, bench_result, results_di
         return engine
 
     def run_kernel(active_dictionary=dictionary):
+        # Eager batches: every row exists before the kernel sees it.
         engine = engine_for(active_dictionary)
-        engine.run(bench_dataset.bgp_stream(), batch_size=BATCH_SIZE)
+        for batch in batch_elems(bench_dataset.bgp_stream(), BATCH_SIZE):
+            engine.process_batch(batch)
         engine.finalise(bench_dataset.end)
         return engine
 
@@ -287,16 +288,12 @@ def test_bench_spill_memory_ceiling(benchmark, longitudinal_dataset, tmp_path):
     spilled = benchmark.pedantic(
         run,
         args=(
-            ExecutionPlan(
-                batch_size=BATCH_SIZE,
-                spill_dir=tmp_path,
-                max_resident_observations=cap,
-            ),
+            ExecutionPlan(spill_dir=tmp_path, max_resident_observations=cap),
         ),
         rounds=1,
         iterations=1,
     )
-    resident = run(ExecutionPlan(batch_size=BATCH_SIZE))
+    resident = run(ExecutionPlan())
     assert spilled.spill.peak_resident_observations <= cap
     assert spilled.spill.spilled_observations > 0
     assert spilled.observations == resident.observations

@@ -16,12 +16,12 @@ The package has four layers:
 * **The execution core** (:mod:`repro.exec`) -- how a study runs:
   :class:`~repro.exec.plan.ExecutionPlan` shards the merged elem stream by
   prefix across N workers (serial / in-process demultiplex / forked
-  processes) and merges results deterministically.  Its hot path is
-  columnar: with a ``batch_size`` the stream is chunked into
+  processes) and merges results deterministically.  Its one dispatch path
+  is columnar: the stream is chunked into
   :class:`~repro.stream.batch.ElemBatch` structs-of-arrays (interned
   community tuples, prefix shard keys) that engines consume whole --
-  bit-identical to per-elem dispatch -- and ``spill_dir`` bounds resident
-  memory by spilling closed observations to disk
+  bit-identical to the per-elem reference semantics -- and ``spill_dir``
+  bounds resident memory by spilling closed observations to disk
   (:mod:`repro.exec.spill`).  Meanwhile
   :class:`~repro.exec.context.PipelineContext` resolves the pipeline's
   composable stages (dictionary, usage statistics, inference, grouping,

@@ -133,11 +133,10 @@ class StudyResult:
 class StudyPipeline:
     """Runs the dictionary + inference pipeline over a scenario dataset.
 
-    ``workers``/``batch_size``/``backend`` configure the execution layout
-    (see :class:`~repro.exec.plan.ExecutionPlan`): ``workers=1`` is the
-    serial path, bit-identical to the pre-refactor pipeline; larger counts
-    shard the stream by prefix.  A ready-made ``plan`` overrides the three
-    individual knobs.
+    ``workers``/``backend`` configure the execution layout (see
+    :class:`~repro.exec.plan.ExecutionPlan`): ``workers=1`` is the serial
+    path; larger counts shard the stream by prefix.  A ready-made ``plan``
+    overrides both knobs.
 
     ``shared_cache`` attaches the pipeline's context to a cross-context
     :class:`~repro.exec.context.ArtifactCache` -- e.g. one backed by a
@@ -154,7 +153,6 @@ class StudyPipeline:
         use_inferred_dictionary: bool = False,
         grouping_timeout: float = DEFAULT_GROUPING_TIMEOUT,
         workers: int = 1,
-        batch_size: int | None = None,
         backend: str = "auto",
         plan: ExecutionPlan | None = None,
         shared_cache=None,
@@ -164,9 +162,7 @@ class StudyPipeline:
         self.enable_bundling = enable_bundling
         self.use_inferred_dictionary = use_inferred_dictionary
         self.grouping_timeout = grouping_timeout
-        self.plan = plan or ExecutionPlan(
-            workers=workers, batch_size=batch_size, backend=backend
-        )
+        self.plan = plan or ExecutionPlan(workers=workers, backend=backend)
         self.shared_cache = shared_cache
 
     # ------------------------------------------------------------------ #

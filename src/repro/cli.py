@@ -102,12 +102,11 @@ def _package_version() -> str:
 def _build_plan(args: argparse.Namespace) -> ExecutionPlan:
     """The execution plan shared by study/report/sweep (raises ValueError).
 
-    One construction site for the layout knobs (--workers, --batch-size,
-    --spill-dir, --max-resident-observations) so the commands cannot drift.
+    One construction site for the layout knobs (--workers, --spill-dir,
+    --max-resident-observations) so the commands cannot drift.
     """
     return ExecutionPlan(
         workers=args.workers,
-        batch_size=args.batch_size,
         spill_dir=args.spill_dir,
         max_resident_observations=args.max_resident_observations,
     )
@@ -399,12 +398,11 @@ def _cmd_sweep(args: argparse.Namespace, out: Callable[[str], None]) -> int:
                 providers=len(report.providers()),
                 users=len(report.users()),
                 prefixes=len(report.ipv4_prefixes()),
-                # Dispatch counters: a batched plan routes whole ElemBatch
-                # columns (process_calls stays 0), the elem path the reverse;
-                # row_touches counts rows that reached Python-level handling
-                # (all kept elems per-elem, interesting rows only batched);
-                # rows_materialised counts StreamElems the kernel forced out
-                # of lazy-row batches (at most row_touches, 0 when eager).
+                # Dispatch counters: the plan routes whole ElemBatch columns
+                # (process_calls stays 0); row_touches counts the interesting
+                # rows that reached Python-level handling; rows_materialised
+                # counts StreamElems the kernel forced out of lazy-row
+                # batches (at most row_touches, 0 when eager).
                 batches_processed=outcome.engine_stats.batches_processed,
                 process_calls=outcome.engine_stats.process_calls,
                 row_touches=outcome.engine_stats.row_touches,
@@ -702,13 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="number of prefix shards for the inference pass (default: 1, serial)",
     )
-    study.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help="columnar ElemBatch size for the engines' vectorised hot path "
-        "(default: per-elem dispatch)",
-    )
     add_spill_args(study)
     study.add_argument(
         "--format",
@@ -745,13 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="number of prefix shards for inference-needing analyses (default: 1)",
-    )
-    report.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help="columnar ElemBatch size for the engines' vectorised hot path "
-        "(default: per-elem dispatch)",
     )
     add_spill_args(report)
     report.add_argument(
@@ -814,13 +798,6 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=1,
             help="number of prefix shards for the shared execution plan (default: 1)",
-        )
-        sub.add_argument(
-            "--batch-size",
-            type=int,
-            default=None,
-            help="columnar ElemBatch size for the engines' vectorised hot path "
-            "(default: per-elem dispatch)",
         )
         add_spill_args(sub)
 

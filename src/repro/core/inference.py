@@ -16,15 +16,17 @@ Operation mirrors the paper:
 State is tracked per BGP peer; correlation across peers is done afterwards
 by :mod:`repro.core.grouping`.
 
-The batch path (:meth:`BlackholingInferenceEngine.process_batch`) is a
-**column-native kernel**: cleaning verdicts, dictionary tag flags and the
-active-state test are byte columns gathered at C speed from tables indexed
-by the batch's interned ids, fused with the type-code column into one
+Elems reach the engine in columnar batches, through
+:meth:`BlackholingInferenceEngine.process_batch`, a **column-native
+kernel**: cleaning verdicts, dictionary tag flags and the active-state
+test are byte columns gathered at C speed from tables indexed by the
+batch's interned ids, fused with the type-code column into one
 class-code byte string via carry-free big-int arithmetic, and only the
 *interesting* rows -- tagged announcements, withdrawals of active state and
 implicit withdrawals -- ever reach Python-level row handling
 (``EngineStats.row_touches`` counts exactly those).  Results are
-bit-identical to per-elem dispatch.
+bit-identical to :meth:`BlackholingInferenceEngine.process`, the per-elem
+reference the tests compare the kernel with.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from repro.stream.batch import (
     TYPE_WITHDRAWAL,
     ElemBatch,
     PeerPrefixInterner,
-    batch_elems,
+    stream_batches,
 )
 from repro.stream.record import StreamElem
 from repro.topology.peeringdb import PeeringDbDataset
@@ -83,15 +85,15 @@ _WITHDRAWAL_CLASSES = (2, 6, 10, 14)
 class EngineStats:
     """Operational counters of one engine run.
 
-    ``process_calls`` and ``batches_processed`` count *dispatch* units: the
-    elem-at-a-time path makes one ``process()`` call per elem, the columnar
-    path one ``process_batch()`` call per :class:`~repro.stream.batch
-    .ElemBatch`.  ``row_touches`` counts rows that reach **Python-level row
-    handling**: every kept elem on the per-elem path, but only the
-    *interesting* rows (tagged announcements, withdrawals of active state,
-    implicit withdrawals) on the batch kernel -- the benchmarks assert it
-    scales with blackholing activity, not with stream length, while
-    ``elems_processed`` always scales with the stream.
+    ``process_calls`` and ``batches_processed`` count *dispatch* units: one
+    per ``process()`` call (the per-elem reference, zero in every
+    production pass) and one per ``process_batch()`` call on an
+    :class:`~repro.stream.batch.ElemBatch`.  ``row_touches`` counts rows
+    that reach **Python-level row handling**: every kept elem through
+    ``process()``, but only the *interesting* rows (tagged announcements,
+    withdrawals of active state, implicit withdrawals) on the batch kernel
+    -- the benchmarks assert it scales with blackholing activity, not with
+    stream length, while ``elems_processed`` always scales with the stream.
     """
 
     elems_processed: int = 0
@@ -165,27 +167,19 @@ class BlackholingInferenceEngine:
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
-    def run(
-        self, elems: Iterable[StreamElem], batch_size: int | None = None
-    ) -> list[BlackholingObservation]:
+    def run(self, elems: Iterable[StreamElem]) -> list[BlackholingObservation]:
         """Process a full stream and return all observations (ended + active).
 
-        The stream is consumed incrementally.  With ``batch_size`` set the
-        elems are columnarised into :class:`~repro.stream.batch.ElemBatch`
-        chunks and dispatched through :meth:`process_batch` -- the
-        column-native kernel -- with bit-identical results; ``None``
-        processes elem-by-elem.
+        The stream is consumed incrementally through :meth:`process_batch`,
+        in the batches :func:`~repro.stream.batch.stream_batches` builds.
         """
-        if batch_size is None:
-            for elem in elems:
-                self.process(elem)
-            return self.observations()
-        for batch in batch_elems(elems, batch_size):
+        for batch in stream_batches(elems):
             self.process_batch(batch)
         return self.observations()
 
     def process(self, elem: StreamElem) -> None:
-        """Process one elem (RIB entry, announcement or withdrawal)."""
+        """Process one elem (RIB entry, announcement or withdrawal): the
+        per-elem oracle the tests hold :meth:`process_batch` to."""
         stats = self.stats
         stats.process_calls += 1
         stats.elems_processed += 1
@@ -203,7 +197,8 @@ class BlackholingInferenceEngine:
             self._handle_withdrawal(elem)
 
     def process_batch(self, batch: ElemBatch) -> None:
-        """Process one columnar batch, bit-identical to per-elem dispatch.
+        """Process one columnar batch, bit-identical to :meth:`process`
+        called once per row.
 
         The kernel runs O(1) Python frames per *column*:
 

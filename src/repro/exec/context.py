@@ -75,8 +75,8 @@ class ArtifactCache:
         through its lead engine and ``rows_materialised`` the
         ``StreamElem`` rows its engines built from lazy-row batches.  Rows
         are cached on the batch every engine of a fused pass shares, so
-        the sum over the outcomes counts distinct rows.  Per-elem passes
-        (no batches) tally nothing.
+        the sum over the outcomes counts distinct rows.  An empty pass (no
+        batches) tallies nothing.
         """
         batches = outcomes[0].engine_stats.batches_processed
         if not batches:

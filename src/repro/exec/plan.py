@@ -11,17 +11,19 @@ There is one pass: a single stream iteration drives one
 :class:`InferenceRequest` (per shard), optionally counting community usage
 statistics on the way.  It has two layouts:
 
-* **in-process** -- one pass over the stream demultiplexes elems (or
-  columnar batches) to the per-shard engines.  With ``workers=1`` (the
-  ``serial`` backend) every engine sees every elem and results are
-  bit-identical to the pre-refactor pipeline; with more shards (the
-  ``inline`` backend) the per-shard results are merged deterministically.
+* **in-process** -- one pass over the stream's columnar batches
+  demultiplexes them to the per-shard engines.  With ``workers=1`` (the
+  ``serial`` backend) every engine sees every batch; with more shards
+  (the ``inline`` backend) each batch is split by prefix and the per-shard
+  results are merged deterministically.
 * **forked** (the ``process`` backend) -- each shard runs in a forked
   worker process over its own filtered view of the stream (non-shard
-  messages are skipped *before* elem construction), and the per-shard
+  messages are skipped *before* any row is built), and the per-shard
   observations, stats and grouping accumulators are merged
   deterministically in the parent.
 
+Every engine consumes :class:`~repro.stream.batch.ElemBatch` columns
+through its kernel (``process_batch``); there is no per-elem dispatch.
 Three public methods wrap the pass: :meth:`ExecutionPlan.run_inference_many`
 is the pass itself, :meth:`ExecutionPlan.run_inference` is the pass with one
 request and :meth:`ExecutionPlan.run_usage_stats` the pass with none.
@@ -36,7 +38,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from repro.core.cleaning import CleaningStats
 from repro.core.events import BlackholingObservation
@@ -51,8 +53,7 @@ from repro.exec.spill import (
 )
 from repro.gcpause import paused_gc
 from repro.netutils.prefixes import Prefix
-from repro.stream.batch import ElemBatch, batch_elems, prefix_shard_key
-from repro.stream.record import StreamElem
+from repro.stream.batch import BATCH_SIZE, ElemBatch, prefix_shard_key, stream_batches
 from repro.topology.peeringdb import PeeringDbDataset
 
 __all__ = [
@@ -112,9 +113,8 @@ def _split_batch(
     """Shard one batch via its prefix-int column, with one index pass per shard.
 
     Returns the nonempty ``(shard, sub-batch)`` pairs in shard order; the
-    per-key shard choice is memoised across batches exactly like the
-    per-prefix memo of the elem-at-a-time demultiplex loops (keys collide
-    only where shards agree, since the shard is a function of the key).
+    per-key shard choice is memoised across batches (keys collide only
+    where shards agree, since the shard is a function of the key).
     Only the *new* keys of a batch run the multiplicative hash; the shard
     column is then a C-level memo gather, each shard's row indices come
     from ``compress`` over a one-hot ``translate`` of that column, and a
@@ -297,17 +297,6 @@ def _assemble(
     )
 
 
-def _observing(
-    elems: Iterable[StreamElem],
-    stats: CommunityUsageStats,
-    documented: BlackholeDictionary,
-) -> Iterator[StreamElem]:
-    """Tee usage-statistics collection into an elem stream (fused pass)."""
-    for elem in elems:
-        stats.observe(elem, documented)
-        yield elem
-
-
 def _shardable(stream) -> bool:
     return callable(getattr(stream, "elems", None))
 
@@ -325,11 +314,11 @@ class ExecutionPlan:
     Parameters
     ----------
     workers:
-        Number of prefix shards.  ``1`` is the serial path, bit-identical
-        to the pre-refactor pipeline.
+        Number of prefix shards.  ``1`` is the serial path.
     batch_size:
-        Chunk size for the engines' inner processing loop (``None`` means
-        elem-by-elem).
+        Rows per columnar batch (default
+        :data:`~repro.stream.batch.BATCH_SIZE`).  Results do not depend on
+        it; tests set it to put batch boundaries inside small inputs.
     backend:
         ``"auto"``, ``"inline"`` or ``"process"``; ignored for ``workers=1``.
     spill_dir:
@@ -347,15 +336,15 @@ class ExecutionPlan:
     def __init__(
         self,
         workers: int = 1,
-        batch_size: int | None = None,
+        batch_size: int = BATCH_SIZE,
         backend: str = "auto",
         spill_dir: str | os.PathLike | None = None,
         max_resident_observations: int | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if batch_size is not None and batch_size < 1:
-            raise ValueError("batch_size must be >= 1 (or None)")
+        if not isinstance(batch_size, int) or batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if backend not in ("auto", "inline", "process"):
             raise ValueError(f"unknown backend {backend!r}")
         if max_resident_observations is not None:
@@ -379,23 +368,6 @@ class ExecutionPlan:
             self.max_resident_observations or DEFAULT_MAX_RESIDENT_OBSERVATIONS,
             label=label,
         )
-
-    @staticmethod
-    def _elems_of(stream, predicate=None) -> Iterable[StreamElem]:
-        return stream.elems(predicate) if _shardable(stream) else stream
-
-    def _batches_of(self, stream, predicate=None) -> Iterable[ElemBatch]:
-        """Columnar batches of a stream (native when the stream can batch),
-        restricted to the prefixes ``predicate`` accepts when one is given.
-
-        Native ``batches`` is the decoder-to-column path: typed columns
-        built straight from the sources, rows lazy; bare elem iterables
-        fall back to eager per-elem chunking.
-        """
-        batches = getattr(stream, "batches", None)
-        if callable(batches):
-            return batches(self.batch_size, predicate)
-        return batch_elems(self._elems_of(stream, predicate), self.batch_size)
 
     # ------------------------------------------------------------------ #
     def resolved_backend(self) -> str:
@@ -487,7 +459,7 @@ class ExecutionPlan:
         Each :class:`InferenceRequest` gets its own engine (and, on sharded
         backends, its own engine per shard); every elem of the single pass
         is dispatched to all of them, so an ablation grid over one stream
-        costs one iteration's decode/merge work plus N cheap per-elem
+        costs one iteration's decode/merge work plus N cheap per-batch
         dispatches instead of N full passes.  Per-request outcomes are
         bit-identical to what :meth:`run_inference` would produce for the
         same knobs, and ``collect_usage_stats`` fuses the usage-statistics
@@ -640,51 +612,23 @@ class ExecutionPlan:
             cells.append((accumulator, engines, sinks))
 
         usage_stats = CommunityUsageStats() if documented is not None else None
-        if self.batch_size is not None:
-            # Columnar dispatch: shard each batch once, then hand the same
-            # (sub-)batch to every request's engine.
-            dispatch = [
-                [engines[shard].process_batch for _, engines, _ in cells]
-                for shard in range(shards)
-            ]
-            shard_memo: dict = {}
-            for batch in self._batches_of(stream, predicate):
-                if usage_stats is not None:
-                    usage_stats.observe_batch(batch, documented)
-                if shards == 1:
-                    for handle in dispatch[0]:
-                        handle(batch)
-                    continue
-                for shard, sub_batch in _split_batch(batch, shards, shard_memo):
-                    for handle in dispatch[shard]:
-                        handle(sub_batch)
-        else:
-            elems: Iterable[StreamElem] = self._elems_of(stream, predicate)
+        # Shard each batch once, then hand the same (sub-)batch to every
+        # request's engine.
+        dispatch = [
+            [engines[shard].process_batch for _, engines, _ in cells]
+            for shard in range(shards)
+        ]
+        shard_memo: dict = {}
+        for batch in stream_batches(stream, self.batch_size, predicate):
             if usage_stats is not None:
-                elems = _observing(elems, usage_stats, documented)
-            dispatch = [
-                [engines[shard].process for _, engines, _ in cells]
-                for shard in range(shards)
-            ]
+                usage_stats.observe_batch(batch, documented)
             if shards == 1:
-                # One tight loop, one dispatch list: every engine sees
-                # every elem.
-                process = dispatch[0]
-                for elem in elems:
-                    for handle in process:
-                        handle(elem)
-            else:
-                # Streams repeat the same prefixes constantly, so the
-                # per-prefix shard choice is memoised.
-                shard_memo = {}
-                memo_get = shard_memo.get
-                for elem in elems:
-                    prefix = elem.prefix
-                    shard = memo_get(prefix)
-                    if shard is None:
-                        shard = shard_memo[prefix] = shard_of(prefix, shards)
-                    for handle in dispatch[shard]:
-                        handle(elem)
+                for handle in dispatch[0]:
+                    handle(batch)
+                continue
+            for shard, sub_batch in _split_batch(batch, shards, shard_memo):
+                for handle in dispatch[shard]:
+                    handle(sub_batch)
         for _, engines, _ in cells:
             for engine in engines:
                 engine.finalise(end_time)

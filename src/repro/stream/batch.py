@@ -25,10 +25,11 @@ verdicts and shard hashing amortise over whole batches:
   ``for elem in batch`` remains a drop-in elem-at-a-time view and any
   consumer that does not understand batches keeps working unchanged.
 
-Batches are built in configurable chunks by the sources and the merger
-(:meth:`~repro.stream.merger.BgpStream.batches`,
+Batches are built in chunks of :data:`BATCH_SIZE` rows by the sources and
+the merger (:meth:`~repro.stream.merger.BgpStream.batches`,
 :meth:`~repro.stream.source.CollectorSource.batches`) or from any elem
-iterable via :func:`batch_elems`.
+iterable via :func:`batch_elems`; :func:`stream_batches` picks the right
+builder for whatever stream it is given.
 
 Two ingestion refinements keep batch *construction* as column-native as
 batch *processing*:
@@ -62,6 +63,7 @@ from repro.netutils.prefixes import Prefix
 from repro.stream.record import ElemType, StreamElem
 
 __all__ = [
+    "BATCH_SIZE",
     "ColumnBuilder",
     "CommunityInterner",
     "ElemBatch",
@@ -76,7 +78,13 @@ __all__ = [
     "prefix_shard_key",
     "row_spec_sort_key",
     "spec_timestamp",
+    "stream_batches",
 ]
+
+#: Rows per :class:`ElemBatch` in every production pass.  Columnar dispatch
+#: is the only way elems reach the engines, and at this size a sweep's
+#: dispatch counters equal ``tests/golden/sweep_batched.json``.
+BATCH_SIZE = 512
 
 #: Elem-type codes of the ``type_codes`` column (cheap int compares in the
 #: dispatch loops instead of enum identity checks).
@@ -503,6 +511,27 @@ def batch_elems(
     iterator = iter(elems)
     while chunk := list(islice(iterator, batch_size)):
         yield ElemBatch.from_elems(chunk, interner, peer_interner)
+
+
+def stream_batches(
+    stream, batch_size: int = BATCH_SIZE, prefix_filter=None
+) -> Iterable[ElemBatch]:
+    """Columnar batches of any stream, restricted to ``prefix_filter``.
+
+    A stream with its own ``batches`` method (a source or a
+    :class:`~repro.stream.merger.BgpStream`) builds them natively --
+    decoder-to-column, rows lazy -- unless it must fall back to elems
+    itself (elem filters).  A bare elem iterable is chunked eagerly by
+    :func:`batch_elems`; it cannot be filtered, so ``prefix_filter`` only
+    applies to streams.
+    """
+    batches = getattr(stream, "batches", None)
+    if callable(batches):
+        return batches(batch_size, prefix_filter)
+    elems = getattr(stream, "elems", None)
+    if callable(elems):
+        stream = elems(prefix_filter)
+    return batch_elems(stream, batch_size)
 
 
 class ColumnBuilder:

@@ -66,8 +66,7 @@ class BgpStream:
     Usage mirrors the real BGPStream workflow used in the paper::
 
         stream = BgpStream(sources, filters=[TimeWindowFilter(start, end)])
-        for elem in stream:
-            engine.process(elem)
+        engine.run(stream)
 
     Iteration yields RIB elems (from every source's table dump) first, then
     merged updates.

@@ -8,12 +8,14 @@ Covers the acceptance properties of the vectorised hot path:
 * matcher equivalence -- :class:`~repro.dictionary.model.CommunityMatcher`
   is exactly ``bool(dictionary.matched_communities(...))``, per set and per
   column;
-* batched-vs-elem parity -- the batched pipeline produces bit-identical
-  observations, cleaning stats, usage statistics and grouped events on the
-  serial, inline and process backends (engine stats match up to the
-  dispatch counters, which intentionally differ);
-* a hypothesis property test driving random elem streams through both
-  dispatch paths.
+* kernel-vs-oracle parity -- the default (columnar) plan produces
+  observations, cleaning stats, usage statistics and grouped events
+  bit-identical to the per-elem oracle (``engine.process`` and
+  ``CommunityUsageStats.observe`` once per elem) on the serial, inline and
+  process backends (engine stats match up to the dispatch counters, which
+  intentionally differ);
+* hypothesis property tests driving random elem streams through the kernel
+  in every drawn chunk size and through the oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from repro.bgp.message import BgpUpdate
 from repro.core.inference import BlackholingInferenceEngine
 from repro.dictionary.inference import CommunityUsageStats
 from repro.dictionary.model import BlackholeDictionary, CommunityEntry, CommunitySource
-from repro.exec import ExecutionPlan, shard_of, shard_of_key
+from repro.core.grouping import GroupingAccumulator
+from repro.exec import ExecutionPlan, observation_sort_key, shard_of, shard_of_key
 from repro.netutils.prefixes import Prefix
 from repro.stream.batch import (
     TYPE_ANNOUNCEMENT,
@@ -83,6 +86,18 @@ def _event_key(event):
         event.end_time,
         frozenset(event.observations),
     )
+
+
+def _process_elemwise(engine, elems):
+    """The per-elem oracle: one ``process`` call per elem."""
+    for elem in elems:
+        engine.process(elem)
+
+
+def _process_in_batches(engine, elems, size):
+    """The column kernel over ``size``-row eager chunks of ``elems``."""
+    for batch in batch_elems(elems, size):
+        engine.process_batch(batch)
 
 
 def _stats_without_dispatch(engine_stats) -> dict:
@@ -361,39 +376,45 @@ class TestBatchedParity:
         self, small_dataset, small_dictionary, plan_knobs
     ):
         peeringdb = small_dataset.topology.peeringdb
+        batched = ExecutionPlan(**plan_knobs).run_inference(
+            small_dataset.bgp_stream(),
+            small_dictionary,
+            end_time=small_dataset.end,
+            peeringdb=peeringdb,
+            collect_usage_stats=small_dictionary,
+        )
+        # The oracle: one engine and one usage counter, elem by elem.
+        accumulator = GroupingAccumulator()
+        elemwise = BlackholingInferenceEngine(
+            small_dictionary, peeringdb=peeringdb, on_completed=accumulator.add
+        )
+        _process_elemwise(elemwise, small_dataset.bgp_stream().elems())
+        expected = elemwise.finalise(small_dataset.end)
+        if batched.workers > 1:
+            expected = sorted(expected, key=observation_sort_key)
+        usage_stats = CommunityUsageStats()
+        usage_stats.observe_stream(small_dataset.bgp_stream().elems(), small_dictionary)
 
-        def run(batch_size):
-            return ExecutionPlan(batch_size=batch_size, **plan_knobs).run_inference(
-                small_dataset.bgp_stream(),
-                small_dictionary,
-                end_time=small_dataset.end,
-                peeringdb=peeringdb,
-                collect_usage_stats=small_dictionary,
-            )
-
-        elemwise = run(None)
-        batched = run(256)
-        assert batched.observations == elemwise.observations
-        assert batched.cleaning_stats == elemwise.cleaning_stats
-        assert batched.usage_stats == elemwise.usage_stats
+        assert batched.observations == expected
+        assert batched.cleaning_stats == elemwise.cleaner.stats
+        assert batched.usage_stats == usage_stats
         assert _stats_without_dispatch(batched.engine_stats) == (
-            _stats_without_dispatch(elemwise.engine_stats)
+            _stats_without_dispatch(elemwise.stats)
         )
         assert [_event_key(e) for e in batched.accumulator.events()] == [
-            _event_key(e) for e in elemwise.accumulator.events()
+            _event_key(e) for e in accumulator.events()
         ]
         # The dispatch counters prove which path ran.
-        assert elemwise.engine_stats.batches_processed == 0
-        assert elemwise.engine_stats.process_calls > 0
+        assert elemwise.stats.batches_processed == 0
+        assert elemwise.stats.process_calls > 0
         assert batched.engine_stats.process_calls == 0
         assert batched.engine_stats.batches_processed > 0
 
     def test_batched_usage_stats_pass_matches_elemwise(
         self, small_dataset, small_dictionary
     ):
-        elemwise = ExecutionPlan().run_usage_stats(
-            small_dataset.bgp_stream(), small_dictionary
-        )
+        elemwise = CommunityUsageStats()
+        elemwise.observe_stream(small_dataset.bgp_stream().elems(), small_dictionary)
         batched = ExecutionPlan(batch_size=128).run_usage_stats(
             small_dataset.bgp_stream(), small_dictionary
         )
@@ -401,13 +422,11 @@ class TestBatchedParity:
 
     def test_engine_run_batched_equals_elemwise(self, small_dictionary):
         elems = _elems()
-
-        def observations(batch_size):
-            engine = BlackholingInferenceEngine(small_dictionary)
-            engine.run(elems, batch_size=batch_size)
-            return engine.finalise(10.0)
-
-        assert observations(2) == observations(None)
+        batched = BlackholingInferenceEngine(small_dictionary)
+        batched.run(elems)
+        elemwise = BlackholingInferenceEngine(small_dictionary)
+        _process_elemwise(elemwise, elems)
+        assert batched.finalise(10.0) == elemwise.finalise(10.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -444,7 +463,7 @@ class TestRowTouches:
         for boring in (100, 400):
             elems = self._stream(boring, interesting=5)
             engine = BlackholingInferenceEngine(dictionary)
-            engine.run(elems, batch_size=64)
+            _process_in_batches(engine, elems, 64)
             assert engine.stats.elems_processed == len(elems)
             # 2 interesting rows (tagged announce + active withdrawal) per
             # episode, regardless of how many boring rows surround them.
@@ -454,7 +473,7 @@ class TestRowTouches:
         dictionary = self._dictionary()
         elems = self._stream(50, interesting=3)
         engine = BlackholingInferenceEngine(dictionary)
-        engine.run(elems, batch_size=None)
+        _process_elemwise(engine, elems)
         assert engine.stats.row_touches == len(elems)
 
     def test_untagged_rows_over_active_state_are_still_touched(self):
@@ -467,7 +486,7 @@ class TestRowTouches:
         engine = BlackholingInferenceEngine(dictionary)
         # One row per batch: the third batch sees no active state and no
         # tag, so its row is bulk-skipped; the first two are touched.
-        engine.run(elems, batch_size=1)
+        _process_in_batches(engine, elems, 1)
         assert engine.stats.row_touches == 2
         assert engine.stats.observations_started == 1
         assert engine.stats.observations_ended == 1
@@ -526,14 +545,14 @@ class TestBatchedDispatchProperty:
     def test_random_streams_produce_identical_observations(self, elems, batch_size):
         elems = sorted(elems, key=lambda e: e.timestamp)
 
-        def run(size):
+        def run(process, *args):
             engine = BlackholingInferenceEngine(_PROPERTY_DICTIONARY)
-            engine.run(elems, batch_size=size)
+            process(engine, elems, *args)
             observations = engine.finalise(1000.0)
             return observations, engine.stats, engine.cleaner.stats
 
-        batched_obs, batched_stats, batched_clean = run(batch_size)
-        elem_obs, elem_stats, elem_clean = run(None)
+        batched_obs, batched_stats, batched_clean = run(_process_in_batches, batch_size)
+        elem_obs, elem_stats, elem_clean = run(_process_elemwise)
         assert batched_obs == elem_obs
         assert batched_clean == elem_clean
         assert _stats_without_dispatch(batched_stats) == (
@@ -609,14 +628,14 @@ class TestAdversarialOrderings:
     def test_kernel_parity_on_adversarial_orderings(self, ops, batch_size):
         elems = _adversarial_stream(ops)
 
-        def run(size):
+        def run(process, *args):
             engine = BlackholingInferenceEngine(self._dictionary)
-            engine.run(elems, batch_size=size)
+            process(engine, elems, *args)
             observations = engine.finalise(10_000.0)
             return observations, engine.stats, engine.cleaner.stats
 
-        batched_obs, batched_stats, batched_clean = run(batch_size)
-        elem_obs, elem_stats, elem_clean = run(None)
+        batched_obs, batched_stats, batched_clean = run(_process_in_batches, batch_size)
+        elem_obs, elem_stats, elem_clean = run(_process_elemwise)
         assert batched_obs == elem_obs
         # Every CleaningStats counter, bit for bit.
         assert batched_clean == elem_clean
@@ -634,7 +653,7 @@ class TestAdversarialOrderings:
             _announce(2.0, "185.1.0.1/32", ["64999:666"]),
         ]
         engine = BlackholingInferenceEngine(self._dictionary)
-        engine.run(elems, batch_size=1)
+        _process_in_batches(engine, elems, 1)
         assert engine.stats.observations_started == 1
         assert engine.stats.observations_ended == 0
         # The inactive withdrawal is skipped by the kernel entirely.
@@ -647,12 +666,12 @@ class TestAdversarialOrderings:
             _withdraw(9.0, "185.1.0.1/32"),
         ]
 
-        def run(size):
+        def run(process, *args):
             engine = BlackholingInferenceEngine(self._dictionary)
-            engine.run(elems, batch_size=size)
+            process(engine, elems, *args)
             return engine.finalise(100.0)
 
-        batched, elemwise = run(4), run(None)
+        batched, elemwise = run(_process_in_batches, 4), run(_process_elemwise)
         assert batched == elemwise
         assert len(batched) == 1
         assert batched[0].start_time == 1.0
@@ -667,7 +686,7 @@ class TestAdversarialOrderings:
             _announce(2.0, "185.1.0.1/32"),
         ]
         engine = BlackholingInferenceEngine(self._dictionary)
-        engine.run(elems, batch_size=10)
+        _process_in_batches(engine, elems, 10)
         observations = engine.finalise(100.0)
         assert len(observations) == 1
         assert observations[0].end_time == 2.0

@@ -27,7 +27,6 @@ from repro.exec.campaign import (
     StudyCampaign,
 )
 from repro.exec.identity import fingerprint
-from repro.exec.plan import ExecutionPlan
 from repro.workload.config import ScenarioConfig
 
 
@@ -185,9 +184,7 @@ class TestSharedArtifacts:
             ablations=(BASELINE, NO_BUNDLING, INFERRED_DICTIONARY),
         )
         results = StudyCampaign(
-            matrix,
-            plan=ExecutionPlan(batch_size=512),
-            dataset_factory=lambda config: small_dataset,
+            matrix, dataset_factory=lambda config: small_dataset
         ).run()
         cells = [
             result.context.get("execution_outcome").engine_stats.rows_materialised

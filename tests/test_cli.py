@@ -41,14 +41,10 @@ class TestParser:
         assert args.report == "summary"
         assert args.seed == 23
         assert args.workers == 1
-        assert args.batch_size is None
 
-    def test_workers_and_batch_size(self):
-        args = build_parser().parse_args(
-            ["study", "--workers", "4", "--batch-size", "1000"]
-        )
+    def test_workers(self):
+        args = build_parser().parse_args(["study", "--workers", "4"])
         assert args.workers == 4
-        assert args.batch_size == 1000
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

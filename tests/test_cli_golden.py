@@ -4,8 +4,9 @@ Each case runs ``repro.cli.main`` in-process and compares the emitted text
 byte for byte with a file under ``tests/golden/``.  The commands are
 deterministic (seeded scenarios, sorted merges), so any difference is a
 behaviour change: an observation, a counter or a key that moved.  Layouts
-that must agree (serial vs two inline shards with columnar batches) share
-one snapshot.
+that must agree (serial vs two shards) share one snapshot.  The sweep
+snapshot carries the dispatch counters of the one columnar path
+(``process_calls`` 0, ``batches_processed`` per cell).
 
 ``repro report`` over every registered analysis is too large to store
 whole (Figure 8 alone has thousands of rows), so its snapshot keeps, per
@@ -50,9 +51,8 @@ REPORT = [
 
 CASES = {
     "study-serial": ("study", STUDY),
-    "study-inline-batched": ("study", STUDY + ["--workers", "2", "--batch-size", "512"]),
-    "sweep": ("sweep", SWEEP),
-    "sweep-batched": ("sweep_batched", SWEEP + ["--batch-size", "512"]),
+    "study-sharded": ("study", STUDY + ["--workers", "2"]),
+    "sweep": ("sweep_batched", SWEEP),
 }
 
 

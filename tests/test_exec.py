@@ -14,6 +14,7 @@ Covers the three acceptance properties of the shard-parallel refactor:
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Iterator
 
 import pytest
@@ -138,6 +139,8 @@ class TestSharding:
         with pytest.raises(ValueError):
             ExecutionPlan(batch_size=0)
         with pytest.raises(ValueError):
+            ExecutionPlan(batch_size=None)
+        with pytest.raises(ValueError):
             ExecutionPlan(backend="threads")
         assert ExecutionPlan(workers=1).resolved_backend() == "serial"
         assert ExecutionPlan(workers=2, backend="inline").resolved_backend() == "inline"
@@ -210,14 +213,19 @@ class TestShardedParity:
         assert sharded.report.prefixes() == study_result.report.prefixes()
 
     def test_batch_size_does_not_change_results(self, small_dataset, study_result):
-        batched = StudyPipeline(small_dataset, batch_size=512).run()
+        batched = StudyPipeline(small_dataset, plan=ExecutionPlan(batch_size=37)).run()
         assert batched.observations == study_result.observations
 
     def test_sharded_engine_stats_sum_to_serial(self, small_dataset, study_result):
         sharded = StudyPipeline(small_dataset, workers=3, backend="inline").run()
         serial_stats = study_result.context.get("engine_stats")
         sharded_stats = sharded.context.get("engine_stats")
-        assert sharded_stats == serial_stats
+        # Every counter sums to the serial run's except the batch count:
+        # each shard's engine receives its own sub-batch of a split batch.
+        assert dataclasses.replace(sharded_stats, batches_processed=0) == (
+            dataclasses.replace(serial_stats, batches_processed=0)
+        )
+        assert sharded_stats.batches_processed >= serial_stats.batches_processed
         assert sharded.engine is None
         assert study_result.engine is not None
 

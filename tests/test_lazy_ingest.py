@@ -43,11 +43,9 @@ from repro.stream.batch import (
     LazyRowColumn,
     PeerPrefixInterner,
     batch_elems,
-    batch_specs,
 )
 from repro.stream.filters import TimeWindowFilter
 from repro.stream.merger import BgpStream
-from repro.stream.record import StreamElem
 from repro.stream.source import CollectorSource, MrtSource
 
 _DICTIONARY = BlackholeDictionary(
@@ -491,7 +489,8 @@ class TestEngineLaziness:
 
         def run_elems():
             engine = BlackholingInferenceEngine(_DICTIONARY)
-            engine.run(source.all_elems(), batch_size=None)
+            for elem in source.all_elems():
+                engine.process(elem)
             observations = engine.finalise(10_000.0)
             return observations, engine.stats, engine.cleaner.stats
 
