@@ -52,7 +52,7 @@ REPORT = [
 CASES = {
     "study-serial": ("study", STUDY),
     "study-sharded": ("study", STUDY + ["--workers", "2"]),
-    "sweep": ("sweep_batched", SWEEP),
+    "sweep-batched": ("sweep_batched", SWEEP),
 }
 
 
