@@ -44,18 +44,18 @@ def table1_analysis(result: "StudyResult") -> registry.AnalysisResult:
     """Table 1 as a registered artifact (scenario dataset only, no stages).
 
     One row per project plus a Total row, and the IPv4 share of observed
-    prefixes as meta (the paper reports 96.64%), all from one walk of the
-    sources.
+    prefixes as meta (the paper reports 96.64%), all from one walk of each
+    source's peer and prefix fields (``peer_sets``; no elem is built).
     """
     ip_peers: dict[str, set[str]] = defaultdict(set)
     as_peers: dict[str, set[int]] = defaultdict(set)
     prefixes: dict[str, set[Prefix]] = defaultdict(set)
     for source in result.dataset.sources:
         project = source.project
-        for elem in source.all_elems():
-            ip_peers[project].add(elem.peer_ip)
-            as_peers[project].add(elem.peer_as)
-            prefixes[project].add(elem.prefix)
+        source_ips, source_ases, source_prefixes = source.peer_sets()
+        ip_peers[project] |= source_ips
+        as_peers[project] |= source_ases
+        prefixes[project] |= source_prefixes
 
     projects = sorted(ip_peers)
     rows: list[DatasetOverviewRow] = []

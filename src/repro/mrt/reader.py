@@ -126,6 +126,17 @@ class MrtReader:
         for record in read_records(data):
             yield from self.messages_from_record(record, prefix_filter)
 
+    def rows(self, data: bytes | memoryview) -> Iterator[Row]:
+        """Yield every route of an MRT buffer as a decoded :data:`Row`.
+
+        The raw fields :meth:`messages` builds its objects from, without
+        building them: no ``BgpUpdate`` / ``BgpWithdrawal`` and no prefix
+        filter.  A BGP4MP record yields its withdrawals first, as in
+        :meth:`messages`.
+        """
+        for record in read_records(data):
+            yield from self._rows(record, None)
+
     def messages_from_record(
         self, record: MrtRecord, prefix_filter=None
     ) -> Iterator[BgpMessage]:
@@ -216,7 +227,7 @@ class MrtReader:
     def _rows(self, record: MrtRecord, prefix_filter) -> Iterable[Row]:
         """The routes of one record whose prefix passes ``prefix_filter``.
 
-        The one record dispatch behind :meth:`messages` and
+        The one record dispatch behind :meth:`messages`, :meth:`rows` and
         :meth:`row_specs`.  Unknown record types yield nothing, mirroring
         tolerant MRT tooling.
         """

@@ -14,7 +14,9 @@ provided:
 Both backends emit elems *incrementally*: iteration never materialises a
 source's full elem stream, and an optional ``prefix_filter`` predicate lets
 shard-parallel execution (:mod:`repro.exec`) skip non-shard messages before
-the comparatively expensive :class:`StreamElem` construction.
+the comparatively expensive :class:`StreamElem` construction.  Both also
+answer ``peer_sets()`` (the peer IPs, peer ASes and prefixes Table 1
+counts) from the raw message or row fields, without building an elem.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from repro.stream.record import ElemType, StreamElem
 __all__ = [
     "CollectorSource",
     "MrtSource",
+    "PeerSets",
     "PrefixPredicate",
     "dump_elems",
     "message_specs",
@@ -49,6 +52,9 @@ __all__ = [
 
 #: Predicate deciding whether a prefix belongs to the caller's shard.
 PrefixPredicate = Callable[[Prefix], bool]
+
+#: A source's peer IPs, peer ASes and prefixes (see ``peer_sets``).
+PeerSets = tuple[set[str], set[int], set[Prefix]]
 
 _EMPTY_COMMUNITIES = CommunitySet()
 
@@ -173,6 +179,19 @@ class CollectorSource:
         yield from self.rib_elems(prefix_filter)
         yield from self.update_stream(prefix_filter)
 
+    def peer_sets(self) -> PeerSets:
+        """The peer IPs, peer ASes and prefixes of :meth:`all_elems`.
+
+        Read straight off the dump and update messages, withdrawals
+        included; no elem is built.
+        """
+        messages = self._dump + self._updates
+        return (
+            {message.peer_ip for message in messages},
+            {message.peer_as for message in messages},
+            {message.prefix for message in messages},
+        )
+
     # -- decoder-to-column path ---------------------------------------- #
     def rib_specs(
         self, prefix_filter: PrefixPredicate | None = None
@@ -264,6 +283,25 @@ class MrtSource:
     ) -> Iterator[StreamElem]:
         yield from self.rib_elems(prefix_filter)
         yield from self.update_stream(prefix_filter)
+
+    def peer_sets(self) -> PeerSets:
+        """The peer IPs, peer ASes and prefixes of :meth:`all_elems`.
+
+        Taken from the reader's decoded rows, withdrawals included; no
+        ``BgpMessage`` and no elem is built.
+        """
+        peer_ips: set[str] = set()
+        peer_ases: set[int] = set()
+        prefixes: set[Prefix] = set()
+        for data in (self._rib_bytes, self._update_bytes):
+            if not data:
+                continue
+            reader = MrtReader(collector=self.collector)
+            for _, peer_ip, peer_as, prefix, _ in reader.rows(data):
+                peer_ips.add(peer_ip)
+                peer_ases.add(peer_as)
+                prefixes.add(prefix)
+        return peer_ips, peer_ases, prefixes
 
     # -- decoder-to-column path ---------------------------------------- #
     def rib_specs(

@@ -41,13 +41,13 @@ class TestTables:
 
     def test_table1_analysis_walks_each_source_once(self, small_dataset, monkeypatch):
         walks = Counter()
-        all_elems = CollectorSource.all_elems
+        peer_sets = CollectorSource.peer_sets
 
-        def counting(source, *args, **kwargs):
+        def counting(source):
             walks[id(source)] += 1
-            return all_elems(source, *args, **kwargs)
+            return peer_sets(source)
 
-        monkeypatch.setattr(CollectorSource, "all_elems", counting)
+        monkeypatch.setattr(CollectorSource, "peer_sets", counting)
         res = StudyPipeline(small_dataset).result().analysis("table1")
         assert walks == Counter({id(source): 1 for source in small_dataset.sources})
         monkeypatch.undo()

@@ -19,6 +19,7 @@ from repro.mrt import reader as mrt_reader
 from repro.mrt.reader import MrtError, MrtReader
 from repro.mrt.writer import write_rib, write_updates
 from repro.netutils.prefixes import Prefix
+from repro.stream.record import StreamElem
 from repro.stream.source import MrtSource
 
 _ATTRIBUTES = [
@@ -217,6 +218,52 @@ def _as_mrt(dataset):
         for source in dataset.sources
     ]
     return dataclasses.replace(dataset, sources=sources)
+
+
+# --------------------------------------------------------------------------- #
+# Table 1 over MRT sources
+# --------------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def small_mrt_dataset(small_dataset):
+    return _as_mrt(small_dataset)
+
+
+def _table1(dataset):
+    return StudyPipeline(dataset).result().analysis("table1")
+
+
+class TestTable1:
+    def test_table1_over_mrt_sources_matches_in_memory(self, small_dataset, small_mrt_dataset):
+        memory = _table1(small_dataset)
+        mrt = _table1(small_mrt_dataset)
+        assert mrt.rows == memory.rows
+        assert mrt.meta == memory.meta
+        assert len(memory.rows) == 5
+
+    def test_table1_builds_no_row_objects(self, small_dataset, small_mrt_dataset, monkeypatch):
+        expected = _table1(small_dataset)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Table 1 built a row object")
+
+        monkeypatch.setattr(StreamElem, "from_message", forbidden)
+        monkeypatch.setattr(MrtReader, "messages_from_record", forbidden)
+        for dataset in (small_dataset, small_mrt_dataset):
+            result = _table1(dataset)
+            assert result.rows == expected.rows
+            assert result.meta == expected.meta
+
+    def test_reader_rows_match_messages(self):
+        rib_bytes, update_bytes = _mixed_family_archives()
+        for data in (rib_bytes, update_bytes):
+            rows = list(MrtReader().rows(data))
+            messages = list(MrtReader().messages(data))
+            assert [row[:4] for row in rows] == [
+                (m.timestamp, m.peer_ip, m.peer_as, m.prefix) for m in messages
+            ]
+            assert [row[4] is None for row in rows] == [
+                isinstance(m, BgpWithdrawal) for m in messages
+            ]
 
 
 # --------------------------------------------------------------------------- #
