@@ -53,9 +53,18 @@ class ResolvedProvider:
 class ProviderResolver:
     """Resolution logic shared by the inference engine.
 
-    The only state is a memo of peer IP -> IXP peering LAN: a stream has few
-    distinct peers, so each peer address is looked up in PeeringDB once per
-    resolver.  PeeringDB is therefore read as fixed for the resolver's life.
+    Two memos, both owned by the resolver instance (each pass builds fresh
+    engines, so neither outlives one pass):
+
+    * peer IP -> IXP peering LAN: a stream has few distinct peers, so each
+      peer address is looked up in PeeringDB once per resolver.  PeeringDB
+      is therefore read as fixed for the resolver's life.
+    * route -> resolutions: the answer depends only on the elem's
+      communities, AS path, peer IP and peer AS, and re-announcements
+      repeat the same route, so each distinct tagged route is resolved
+      once.  Only routes with a matched community are stored.  The memo is
+      cleared when :attr:`dictionary` is rebound to another object or
+      :attr:`enable_bundling` changes.
     """
 
     def __init__(
@@ -68,12 +77,22 @@ class ProviderResolver:
         self.peeringdb = peeringdb if peeringdb is not None else PeeringDbDataset()
         self.enable_bundling = enable_bundling
         self._peer_ixps: dict[str, str | None] = {}
+        self._routes: dict[tuple, tuple[ResolvedProvider, ...]] = {}
+        self._routes_for = (dictionary, enable_bundling)
 
     # ------------------------------------------------------------------ #
     def resolve(self, elem: StreamElem) -> list[ResolvedProvider]:
         """All provider resolutions for one announcement elem."""
         if not (elem.is_announcement or elem.is_rib):
             return []
+        routes_for = (self.dictionary, self.enable_bundling)
+        if routes_for != self._routes_for:
+            self._routes.clear()
+            self._routes_for = routes_for
+        key = (elem.communities, elem.as_path, elem.peer_ip, elem.peer_as)
+        cached = self._routes.get(key)
+        if cached is not None:
+            return list(cached)
         matched = self.dictionary.matched_communities(elem.communities)
         if not matched:
             return []
@@ -81,7 +100,9 @@ class ProviderResolver:
         for community in sorted(matched, key=str):
             entries = self.dictionary.lookup(community)
             resolutions.extend(self._resolve_community(elem, community, entries))
-        return self._deduplicate(resolutions)
+        resolved = self._deduplicate(resolutions)
+        self._routes[key] = tuple(resolved)
+        return resolved
 
     # ------------------------------------------------------------------ #
     def _resolve_community(

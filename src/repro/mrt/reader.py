@@ -2,10 +2,14 @@
 
 Parses the records produced by :mod:`repro.mrt.writer` (and, for the
 supported subset, records produced by real collectors): BGP4MP /
-BGP4MP_ET message records and TABLE_DUMP_V2 RIB snapshots.  The high-level
-:func:`read_messages` generator converts both flavours back into
-:class:`~repro.bgp.message.BgpUpdate` / :class:`BgpWithdrawal` objects, which
-is what the BGPStream-like layer feeds to the inference engine.
+BGP4MP_ET message records and TABLE_DUMP_V2 RIB snapshots.  Production
+ingest goes through :meth:`MrtReader.row_specs`: decoded rows become lazy
+row specs that the stream layer packs into the engines' columnar batches,
+with no message object per row.  The high-level :func:`read_messages`
+generator (and :meth:`MrtReader.messages`) converts both flavours back into
+:class:`~repro.bgp.message.BgpUpdate` / :class:`BgpWithdrawal` objects; only
+the per-elem ``elems()`` iterators, which the test oracles and elem-filtered
+streams use, take that route.
 
 Malformed input raises :class:`MrtError` (record framing, BGP4MP headers,
 the PEER_INDEX_TABLE, RIB entries) or :class:`~repro.bgp.wire.WireError`

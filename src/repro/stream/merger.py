@@ -6,15 +6,16 @@ are emitted first (initialisation), then the per-collector update streams
 are merged by timestamp with a k-way heap merge, optionally passing through
 filters.
 
-The merge is fully incremental: at no point is the combined elem stream
-materialised.  RIB elems are sorted per source and k-way merged (bounded by
-the table dumps, which are resident in their sources anyway); the much
-larger update stream is heap-merged lazily and never held as a list.
+The update merge is fully incremental: the much larger update stream is
+heap-merged lazily and never held as a list.  The RIB phase is one stable
+sort over every source's table dump in source order (bounded by the dumps,
+which are resident in their sources anyway).
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from repro.stream.batch import (
@@ -53,13 +54,6 @@ def merge_sources(
     return heapq.merge(*runs, key=lambda elem: elem.timestamp)
 
 
-def _sorted_rib_run(
-    source: Source, prefix_filter: PrefixPredicate | None
-) -> list[StreamElem]:
-    """One source's RIB elems, sorted by the deterministic elem key."""
-    return sorted(source.rib_elems(prefix_filter), key=StreamElem.sort_key)
-
-
 class BgpStream:
     """A filtered, merged view over several collector sources.
 
@@ -89,12 +83,14 @@ class BgpStream:
     ) -> Iterator[StreamElem]:
         """All sources' RIB elems, in deterministic order.
 
-        Each source's dump is sorted on its own and the sorted runs are
-        heap-merged, which equals a whole-stream stable sort without ever
-        building the combined list.
+        One stable sort over the dumps in source order, so ties keep
+        source order and then dump order, and each key is computed once
+        per row.
         """
-        runs = [_sorted_rib_run(source, prefix_filter) for source in self.sources]
-        for elem in heapq.merge(*runs, key=StreamElem.sort_key):
+        dumps = chain.from_iterable(
+            source.rib_elems(prefix_filter) for source in self.sources
+        )
+        for elem in sorted(dumps, key=StreamElem.sort_key):
             if self._passes(elem):
                 yield elem
 
@@ -124,11 +120,10 @@ class BgpStream:
         stable tie-break), so no row is materialised to establish order.
         Only valid on unfiltered streams -- elem filters need elems.
         """
-        rib_runs = [
-            sorted(source.rib_specs(prefix_filter), key=row_spec_sort_key)
-            for source in self.sources
-        ]
-        yield from heapq.merge(*rib_runs, key=row_spec_sort_key)
+        dumps = chain.from_iterable(
+            source.rib_specs(prefix_filter) for source in self.sources
+        )
+        yield from sorted(dumps, key=row_spec_sort_key)
         update_runs = [source.update_specs(prefix_filter) for source in self.sources]
         yield from heapq.merge(*update_runs, key=spec_timestamp)
 

@@ -1,9 +1,12 @@
 """Tests for blackholing provider/user resolution (Section 4.2 checks)."""
 
+import dataclasses
+
 import pytest
 
 from repro.bgp.community import BLACKHOLE_COMMUNITY, Community
 from repro.core.events import DetectionMethod
+from repro.core.inference import BlackholingInferenceEngine
 from repro.core.providers import ProviderResolver
 from repro.dictionary.model import BlackholeDictionary, CommunityEntry, CommunitySource
 from repro.netutils.prefixes import Prefix
@@ -181,3 +184,89 @@ class TestDeduplication:
         resolutions = resolver.resolve(elem)
         assert len(resolutions) == 1
         assert resolutions[0].detection is DetectionMethod.ON_PATH
+
+
+class TestRouteMemo:
+    """Each distinct tagged route is resolved once per resolver."""
+
+    def test_untagged_elems_add_no_memo_entry(self, resolver):
+        assert resolver.resolve(_elem(["1299:100"], [1299, USER, ORIGIN])) == []
+        assert resolver._routes == {}
+
+    def test_mutating_a_result_leaves_the_next_one_unchanged(self, resolver):
+        elem = _elem([f"{PROVIDER}:666"], [1299, PROVIDER, USER, ORIGIN])
+        first = resolver.resolve(elem)
+        expected = list(first)
+        first.clear()
+        assert resolver.resolve(elem) == expected
+        assert expected
+
+    def test_rebinding_the_dictionary_clears_the_memo(self, resolver):
+        elem = _elem([f"{PROVIDER}:666"], [1299, PROVIDER, USER, ORIGIN])
+        assert resolver.resolve(elem)
+        other = Community(OTHER_PROVIDER, 666)
+        resolver.dictionary = BlackholeDictionary(
+            [CommunityEntry(other, OTHER_PROVIDER, CommunitySource.IRR)]
+        )
+        assert resolver.resolve(elem) == []
+        assert resolver._routes == {}
+
+    def test_flipping_bundling_clears_the_memo(self, resolver):
+        # Provider off the path: only community bundling attributes it.
+        elem = _elem([f"{PROVIDER}:666"], [1299, USER, ORIGIN])
+        assert resolver.resolve(elem)[0].detection is DetectionMethod.BUNDLED
+        resolver.enable_bundling = False
+        assert resolver.resolve(elem) == []
+        resolver.enable_bundling = True
+        assert resolver.resolve(elem)[0].detection is DetectionMethod.BUNDLED
+
+    def test_repeated_routes_are_resolved_once(self, monkeypatch):
+        calls = []
+        original = ProviderResolver._resolve_community
+
+        def counting(self, elem, community, entries):
+            calls.append(community)
+            return original(self, elem, community, entries)
+
+        monkeypatch.setattr(ProviderResolver, "_resolve_community", counting)
+        routes = [
+            ([f"{PROVIDER}:666"], [1299, PROVIDER, USER, ORIGIN], "10.0.0.1"),
+            ([f"{PROVIDER}:666"], [1299, USER, ORIGIN], "10.0.0.1"),
+            (["65535:666"], [USER], "185.7.0.100"),
+        ]
+        engine = BlackholingInferenceEngine(_dictionary(), _peeringdb())
+        announcements = 0
+        for round_index in range(4):
+            for communities, path, peer_ip in routes:
+                elem = dataclasses.replace(
+                    _elem(communities, path, peer_ip=peer_ip),
+                    timestamp=100.0 + 10 * round_index,
+                    # Routable: the cleaner drops the fixture's TEST-NET prefix.
+                    prefix=Prefix.from_string("80.81.9.9/32"),
+                )
+                engine.process(elem)
+                announcements += 1
+        assert engine.stats.tagged_announcements == announcements
+        assert len(calls) <= len(routes) < announcements
+
+    @pytest.mark.parametrize("enable_bundling", [True, False])
+    def test_memoised_resolutions_equal_a_fresh_resolver(
+        self, small_dataset, study_result, enable_bundling
+    ):
+        dictionary = study_result.dictionary
+        peeringdb = small_dataset.topology.peeringdb
+        engine = BlackholingInferenceEngine(
+            dictionary, peeringdb=peeringdb, enable_bundling=enable_bundling
+        )
+        stream = small_dataset.bgp_stream()
+        engine.run(stream)
+        tagged = [
+            elem
+            for elem in stream.elems()
+            if (elem.is_announcement or elem.is_rib)
+            and dictionary.matched_communities(elem.communities)
+        ]
+        assert 0 < len(engine.resolver._routes) < len(tagged)
+        for elem in tagged:
+            fresh = ProviderResolver(dictionary, peeringdb, enable_bundling)
+            assert engine.resolver.resolve(elem) == fresh.resolve(elem)
