@@ -401,8 +401,8 @@ def _cmd_sweep(args: argparse.Namespace, out: Callable[[str], None]) -> int:
                 # Dispatch counters: the plan routes whole ElemBatch columns
                 # (process_calls stays 0); row_touches counts the interesting
                 # rows that reached Python-level handling; rows_materialised
-                # counts StreamElems the kernel forced out of lazy-row
-                # batches (at most row_touches, 0 when eager).
+                # counts the row thunks the kernel fired (at most
+                # row_touches).
                 batches_processed=outcome.engine_stats.batches_processed,
                 process_calls=outcome.engine_stats.process_calls,
                 row_touches=outcome.engine_stats.row_touches,

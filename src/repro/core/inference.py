@@ -109,10 +109,11 @@ class EngineStats:
     batches_processed: int = 0
     #: Rows that reached Python-level row handling (see class docstring).
     row_touches: int = 0
-    #: ``StreamElem`` objects constructed *by this engine* from lazy-row
-    #: batches (decoder-to-column ingestion).  At most ``row_touches`` --
-    #: the kernel only indexes rows for tagged announcements -- and zero
-    #: when a batch is eager (its rows pre-existed, none are charged here).
+    #: Row thunks of lazy-row batches fired *by this engine* (the rows it
+    #: was first to index).  At most ``row_touches`` -- the kernel only
+    #: indexes rows for tagged announcements.  On decoder-to-column
+    #: batches each fire constructs a ``StreamElem``; on batches wrapped
+    #: around already-built elems it only hands the elem over.
     rows_materialised: int = 0
 
 
@@ -281,9 +282,8 @@ class BlackholingInferenceEngine:
         scan = classes.translate(_SCAN_TABLE)
         if scan.count(1):
             elems = batch.elems
-            # Lazy-row batches build a StreamElem only at the elems[...]
-            # index below; the before/after delta charges exactly the rows
-            # this kernel forced (eager batches always delta to zero).
+            # A row thunk fires only at the elems[...] index below; the
+            # before/after delta charges exactly the rows this kernel forced.
             materialised_before = batch.rows_materialised
             type_codes = batch.type_codes
             timestamps = batch.timestamps

@@ -2,14 +2,14 @@
 
 Parses the records produced by :mod:`repro.mrt.writer` (and, for the
 supported subset, records produced by real collectors): BGP4MP /
-BGP4MP_ET message records and TABLE_DUMP_V2 RIB snapshots.  Production
-ingest goes through :meth:`MrtReader.row_specs`: decoded rows become lazy
-row specs that the stream layer packs into the engines' columnar batches,
-with no message object per row.  The high-level :func:`read_messages`
-generator (and :meth:`MrtReader.messages`) converts both flavours back into
-:class:`~repro.bgp.message.BgpUpdate` / :class:`BgpWithdrawal` objects; only
-the per-elem ``elems()`` iterators, which the test oracles and elem-filtered
-streams use, take that route.
+BGP4MP_ET message records and TABLE_DUMP_V2 RIB snapshots.  All ingest
+goes through :meth:`MrtReader.row_specs`: decoded rows become lazy row
+specs that the stream layer packs into the engines' columnar batches (and
+fires for its elem iterators), with no message object per row.  The
+high-level :func:`read_messages` generator (and :meth:`MrtReader.messages`)
+converts both flavours back into :class:`~repro.bgp.message.BgpUpdate` /
+:class:`BgpWithdrawal` objects; nothing in the stream layer takes that
+route, so it serves as an independent decoding oracle for the tests.
 
 Malformed input raises :class:`MrtError` (record framing, BGP4MP headers,
 the PEER_INDEX_TABLE, RIB entries) or :class:`~repro.bgp.wire.WireError`
@@ -127,8 +127,17 @@ class MrtReader:
         a RIB record whose prefix fails is skipped before its entries are
         decoded.
         """
+        collector = self.collector
         for record in read_records(data):
-            yield from self.messages_from_record(record, prefix_filter)
+            for timestamp, peer_ip, peer_as, prefix, attributes in self._rows(
+                record, prefix_filter
+            ):
+                if attributes is None:
+                    yield BgpWithdrawal(timestamp, collector, peer_ip, peer_as, prefix)
+                else:
+                    yield BgpUpdate(
+                        timestamp, collector, peer_ip, peer_as, prefix, attributes
+                    )
 
     def rows(self, data: bytes | memoryview) -> Iterator[Row]:
         """Yield every route of an MRT buffer as a decoded :data:`Row`.
@@ -140,18 +149,6 @@ class MrtReader:
         """
         for record in read_records(data):
             yield from self._rows(record, None)
-
-    def messages_from_record(
-        self, record: MrtRecord, prefix_filter=None
-    ) -> Iterator[BgpMessage]:
-        collector = self.collector
-        for timestamp, peer_ip, peer_as, prefix, attributes in self._rows(
-            record, prefix_filter
-        ):
-            if attributes is None:
-                yield BgpWithdrawal(timestamp, collector, peer_ip, peer_as, prefix)
-            else:
-                yield BgpUpdate(timestamp, collector, peer_ip, peer_as, prefix, attributes)
 
     def row_specs(
         self,
@@ -167,7 +164,7 @@ class MrtReader:
         decoded records, and the ``StreamElem`` (and the intermediate
         ``BgpUpdate`` / ``BgpWithdrawal``) is never constructed unless a
         consumer fires the spec's row thunk.  ``rib=True`` types
-        announcement-like rows as RIB entries, matching ``dump_elems``.
+        announcement-like rows as RIB entries.
         The spec tuples yielded equal :data:`repro.stream.batch.RowSpec`.
         """
         # Imported lazily: repro.stream.source imports this module at top

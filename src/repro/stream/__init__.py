@@ -9,10 +9,15 @@ time-ordered stream of *elems*.  This package reproduces that layer:
 * :mod:`repro.stream.batch` -- :class:`ElemBatch`, the columnar
   (struct-of-arrays) chunked view of the stream the hot consumers operate
   on: parallel columns of timestamps, elem-type codes, interned strings,
-  prefix shard keys and interned community-set ids.
+  prefix shard keys and interned community-set ids; and
+  :class:`ColumnBuilder`, the one builder every batch comes out of.
 * :mod:`repro.stream.source` -- per-collector sources backed by in-memory
   message lists or MRT byte archives (RIB snapshot + update stream).
-* :mod:`repro.stream.merger` -- the multi-source, time-ordered merge.
+  Sources produce *row specs* (columnar fields plus a deferred
+  ``StreamElem`` thunk); batches are built from them, and every elem
+  iterator fires their thunks.
+* :mod:`repro.stream.merger` -- the multi-source, time-ordered merge, over
+  the same specs.
 * :mod:`repro.stream.filters` -- composable elem filters (time window,
   collectors, prefix specificity, community match).
 """
@@ -23,8 +28,8 @@ from repro.stream.batch import (
     ElemBatch,
     LazyRowColumn,
     PeerPrefixInterner,
-    batch_elems,
     batch_specs,
+    elem_specs,
     prefix_shard_key,
     row_spec_sort_key,
 )
@@ -38,7 +43,7 @@ from repro.stream.filters import (
 )
 from repro.stream.merger import BgpStream, merge_sources
 from repro.stream.record import ElemType, StreamElem
-from repro.stream.source import CollectorSource, MrtSource, dump_elems, update_elems
+from repro.stream.source import CollectorSource, MrtSource
 
 __all__ = [
     "BgpStream",
@@ -48,8 +53,8 @@ __all__ = [
     "ElemBatch",
     "LazyRowColumn",
     "PeerPrefixInterner",
-    "batch_elems",
     "batch_specs",
+    "elem_specs",
     "prefix_shard_key",
     "row_spec_sort_key",
     "CollectorSource",
@@ -61,7 +66,5 @@ __all__ = [
     "StreamElem",
     "TimeWindowFilter",
     "compose_filters",
-    "dump_elems",
     "merge_sources",
-    "update_elems",
 ]

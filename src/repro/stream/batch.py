@@ -25,23 +25,25 @@ verdicts and shard hashing amortise over whole batches:
   ``for elem in batch`` remains a drop-in elem-at-a-time view and any
   consumer that does not understand batches keeps working unchanged.
 
-Batches are built in chunks of :data:`BATCH_SIZE` rows by the sources and
-the merger (:meth:`~repro.stream.merger.BgpStream.batches`,
-:meth:`~repro.stream.source.CollectorSource.batches`) or from any elem
-iterable via :func:`batch_elems`; :func:`stream_batches` picks the right
-builder for whatever stream it is given.
+Every batch comes out of one builder, :class:`ColumnBuilder`, fed with
+*row specs*: sources and the merger emit them
+(:meth:`~repro.stream.merger.BgpStream.batches`,
+:meth:`~repro.stream.source.CollectorSource.batches`), and
+:func:`elem_specs` wraps an already-built elem iterable in them;
+:func:`stream_batches` picks the right feed for whatever stream it is
+given.
 
 Two ingestion refinements keep batch *construction* as column-native as
 batch *processing*:
 
-* **Decoder-to-column building.**  Sources emit *row specs* -- plain
-  tuples of the columnar field values plus a deferred ``StreamElem``
-  thunk -- and a :class:`ColumnBuilder` assembles the typed columns
-  straight from them (:func:`batch_specs`).  The ``elems`` column of such
-  a batch is a :class:`LazyRowColumn`: a ``StreamElem`` object is only
-  constructed when a consumer actually indexes the row (the engine kernel
-  does so solely for tagged announcements), and ``rows_materialised``
-  counts how few rows ever existed as objects.
+* **Decoder-to-column building.**  A row spec is a plain tuple of the
+  columnar field values plus a deferred ``StreamElem`` thunk, and the
+  :class:`ColumnBuilder` assembles the typed columns straight from the
+  fields (:func:`batch_specs`).  The ``elems`` column of every batch is a
+  :class:`LazyRowColumn`: a ``StreamElem`` object is only constructed
+  when a consumer actually indexes the row (the engine kernel does so
+  solely for tagged announcements), and ``rows_materialised`` counts the
+  thunks fired -- how few rows ever existed as objects.
 * **Zero-copy contiguous selects.**  :meth:`ElemBatch.select` detects
   index sets that form one contiguous ascending run -- the single-shard
   and sorted-run splits of the execution plan -- and slices the typed
@@ -73,8 +75,8 @@ __all__ = [
     "TYPE_ANNOUNCEMENT",
     "TYPE_RIB",
     "TYPE_WITHDRAWAL",
-    "batch_elems",
     "batch_specs",
+    "elem_specs",
     "prefix_shard_key",
     "row_spec_sort_key",
     "spec_timestamp",
@@ -124,6 +126,27 @@ def row_spec_sort_key(spec: RowSpec) -> tuple:
     ``StreamElem.sort_key``.
     """
     return (spec[0], spec[2], spec[3], spec[4], spec[5], _TYPE_VALUES[spec[1]])
+
+
+def elem_specs(elems: Iterable[StreamElem]) -> Iterator[RowSpec]:
+    """Wrap already-built elems as row specs whose thunk returns the elem.
+
+    The feed that takes a bare elem iterable (or an elem-filtered stream)
+    through :class:`ColumnBuilder`; firing a thunk builds nothing.
+    """
+    type_codes = _TYPE_CODES
+    for elem in elems:
+        yield (
+            elem.timestamp,
+            type_codes[elem.elem_type],
+            elem.project,
+            elem.collector,
+            elem.peer_ip,
+            elem.prefix,
+            elem.communities,
+            lambda elem=elem: elem,
+        )
+
 
 #: 64-bit mask of the shard-key mixing arithmetic (kept in lockstep with
 #: :func:`repro.exec.plan.shard_of`, which consumes these keys).
@@ -294,11 +317,10 @@ class ElemBatch:
     row view of column index ``i``.  Batches are immutable by convention --
     consumers only read the columns.
 
-    Column types are duck-shaped, not fixed: typed columns are ``array``
-    objects on freshly built batches and zero-copy ``memoryview`` slices on
-    contiguous sub-batches; the ``elems`` column is a plain list on eager
-    batches (:meth:`from_elems`) and a :class:`LazyRowColumn` (or view) on
-    builder-made ones.  Every consumer indexes/iterates them identically.
+    Typed columns are ``array`` objects on freshly built batches and
+    zero-copy ``memoryview`` slices on contiguous sub-batches; the
+    ``elems`` column is a :class:`LazyRowColumn`, or a view of one on
+    sub-batches.
     """
 
     __slots__ = (
@@ -318,7 +340,7 @@ class ElemBatch:
 
     def __init__(
         self,
-        elems: list[StreamElem],
+        elems: "LazyRowColumn | _LazyRowView",
         timestamps: array,
         type_codes: array,
         collectors: list[str],
@@ -352,43 +374,15 @@ class ElemBatch:
         interner: CommunityInterner | None = None,
         peer_interner: PeerPrefixInterner | None = None,
     ) -> "ElemBatch":
-        """Columnarise a chunk of elems.
+        """Columnarise a chunk of elems through :class:`ColumnBuilder`.
 
         Pass shared interners when building several batches of one stream
         so community and peer-prefix ids (and the consumers' memos and
         byte tables keyed on them) stay stable across the whole pass.
         """
-        rows = list(elems)
-        interner = interner if interner is not None else CommunityInterner()
-        peer_interner = (
-            peer_interner if peer_interner is not None else PeerPrefixInterner()
-        )
-        type_codes = _TYPE_CODES
-        intern_set = interner.intern
-        intern_peer = peer_interner.intern
-        prefixes = [elem.prefix for elem in rows]
-        return cls(
-            elems=rows,
-            timestamps=array("d", [elem.timestamp for elem in rows]),
-            type_codes=array("B", [type_codes[elem.elem_type] for elem in rows]),
-            collectors=[intern(elem.collector) for elem in rows],
-            peer_ips=[intern(elem.peer_ip) for elem in rows],
-            prefixes=prefixes,
-            prefix_lengths=array("B", [prefix.length for prefix in prefixes]),
-            prefix_keys=array("Q", map(prefix_shard_key, prefixes)),
-            community_ids=array(
-                "Q", [intern_set(elem.communities) for elem in rows]
-            ),
-            peer_prefix_ids=array(
-                "Q",
-                [
-                    intern_peer((elem.collector, elem.peer_ip, elem.prefix))
-                    for elem in rows
-                ],
-            ),
-            interner=interner,
-            peer_interner=peer_interner,
-        )
+        builder = ColumnBuilder(interner, peer_interner)
+        builder.extend(elem_specs(elems))
+        return builder.build()
 
     def select(self, indices: Sequence[int]) -> "ElemBatch":
         """A sub-batch of the given row indices (shares the interners).
@@ -412,13 +406,8 @@ class ElemBatch:
                 or all(map(eq, indices, range(first, first + count)))
             ):
                 return self.select_run(first, first + count)
-        elems = self.elems
-        view = getattr(elems, "view", None)
-        sub_elems = (
-            list(map(elems.__getitem__, indices)) if view is None else view(indices)
-        )
         return ElemBatch(
-            elems=sub_elems,
+            elems=self.elems.view(indices),
             timestamps=array("d", map(self.timestamps.__getitem__, indices)),
             type_codes=array("B", map(self.type_codes.__getitem__, indices)),
             collectors=list(map(self.collectors.__getitem__, indices)),
@@ -442,13 +431,8 @@ class ElemBatch:
         ``elems`` column becomes a range view sharing the parent's cache --
         no row is materialised by taking the run.
         """
-        elems = self.elems
-        view = getattr(elems, "view", None)
-        sub_elems = (
-            elems[start:stop] if view is None else view(range(start, stop))
-        )
         return ElemBatch(
-            elems=sub_elems,
+            elems=self.elems.view(range(start, stop)),
             timestamps=_column_view(self.timestamps, start, stop),
             type_codes=_column_view(self.type_codes, start, stop),
             collectors=self.collectors[start:stop],
@@ -464,15 +448,11 @@ class ElemBatch:
 
     @property
     def rows_materialised(self) -> int:
-        """How many of this batch's rows exist as ``StreamElem`` objects.
+        """How many row thunks of this batch's column have fired.
 
-        Lazy batches report their provider-invocation count (shared with
-        every sub-view of the same parent column); eager batches report
-        ``len(self)`` -- all their rows were constructed up front.
+        The count is shared with every sub-view of the same parent column.
         """
-        elems = self.elems
-        materialised = getattr(elems, "materialised", None)
-        return len(elems) if materialised is None else materialised
+        return self.elems.materialised
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
@@ -489,60 +469,30 @@ class ElemBatch:
         )
 
 
-def batch_elems(
-    elems: Iterable[StreamElem],
-    batch_size: int,
-    interner: CommunityInterner | None = None,
-    peer_interner: PeerPrefixInterner | None = None,
-) -> Iterator[ElemBatch]:
-    """Chunk an elem iterable into :class:`ElemBatch` es of ``batch_size``.
-
-    The chunk boundaries equal ``itertools.islice`` chunking of the same
-    iterable, so batched and elem-at-a-time consumers see the elems in
-    exactly the same order.  One interner pair (shared or fresh) serves
-    every batch of the iteration.
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    interner = interner if interner is not None else CommunityInterner()
-    peer_interner = (
-        peer_interner if peer_interner is not None else PeerPrefixInterner()
-    )
-    iterator = iter(elems)
-    while chunk := list(islice(iterator, batch_size)):
-        yield ElemBatch.from_elems(chunk, interner, peer_interner)
-
-
 def stream_batches(
     stream, batch_size: int = BATCH_SIZE, prefix_filter=None
 ) -> Iterable[ElemBatch]:
     """Columnar batches of any stream, restricted to ``prefix_filter``.
 
     A stream with its own ``batches`` method (a source or a
-    :class:`~repro.stream.merger.BgpStream`) builds them natively --
-    decoder-to-column, rows lazy -- unless it must fall back to elems
-    itself (elem filters).  A bare elem iterable is chunked eagerly by
-    :func:`batch_elems`; it cannot be filtered, so ``prefix_filter`` only
-    applies to streams.
+    :class:`~repro.stream.merger.BgpStream`) builds them from its row
+    specs.  A bare elem iterable goes through :func:`elem_specs`; it cannot
+    be filtered, so ``prefix_filter`` only applies to streams.
     """
     batches = getattr(stream, "batches", None)
     if callable(batches):
         return batches(batch_size, prefix_filter)
-    elems = getattr(stream, "elems", None)
-    if callable(elems):
-        stream = elems(prefix_filter)
-    return batch_elems(stream, batch_size)
+    return batch_specs(elem_specs(stream), batch_size)
 
 
 class ColumnBuilder:
-    """Append-based assembly of :class:`ElemBatch` columns from row specs.
+    """Assembly of :class:`ElemBatch` columns from row specs.
 
-    The decoder-to-column path: sources :meth:`append` / :meth:`extend`
-    :data:`RowSpec` tuples as they decode, and :meth:`build` snapshots the
-    pending specs into one batch -- typed columns filled by bulk
-    comprehensions over the spec fields, the ``elems`` column a
-    :class:`LazyRowColumn` over the deferred row thunks.  No
-    ``StreamElem`` is constructed at build time.  One builder carries one
+    The one batch builder: callers :meth:`extend` it with :data:`RowSpec`
+    tuples, and :meth:`build` snapshots the pending specs into one batch --
+    typed columns filled by bulk comprehensions over the spec fields, the
+    ``elems`` column a :class:`LazyRowColumn` over the deferred row
+    thunks.  No ``StreamElem`` is constructed at build time.  One builder carries one
     interner pair, so every batch it builds shares stable community and
     peer-prefix ids.
     """
@@ -559,9 +509,6 @@ class ColumnBuilder:
             peer_interner if peer_interner is not None else PeerPrefixInterner()
         )
         self._specs: list[RowSpec] = []
-
-    def append(self, spec: RowSpec) -> None:
-        self._specs.append(spec)
 
     def extend(self, specs: Iterable[RowSpec]) -> None:
         self._specs.extend(specs)
@@ -602,9 +549,11 @@ def batch_specs(
 ) -> Iterator[ElemBatch]:
     """Chunk a row-spec iterable into lazy-row batches of ``batch_size``.
 
-    The spec-level twin of :func:`batch_elems`: identical ``islice``
-    chunk boundaries and one shared interner pair across the iteration,
-    but rows stay unmaterialised until a consumer indexes them.
+    Chunk boundaries equal ``itertools.islice`` chunking of the same
+    iterable, so batched and elem-at-a-time consumers see the rows in
+    exactly the same order.  One interner pair (shared or fresh) serves
+    every batch of the iteration, and rows stay unmaterialised until a
+    consumer indexes them.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")

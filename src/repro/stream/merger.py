@@ -6,10 +6,12 @@ are emitted first (initialisation), then the per-collector update streams
 are merged by timestamp with a k-way heap merge, optionally passing through
 filters.
 
-The update merge is fully incremental: the much larger update stream is
-heap-merged lazily and never held as a list.  The RIB phase is one stable
-sort over every source's table dump in source order (bounded by the dumps,
-which are resident in their sources anyway).
+Both phases work on the sources' row specs, so batches and elems share one
+ordering: the RIB phase is one stable sort over every source's table-dump
+specs in source order (bounded by the dumps, which are resident in their
+sources anyway), and the update merge is fully incremental -- the much
+larger update stream is heap-merged lazily and never held as a list.  The
+elem iterators fire each spec's row thunk and then apply the elem filters.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from repro.stream.batch import (
     ElemBatch,
     PeerPrefixInterner,
     RowSpec,
-    batch_elems,
     batch_specs,
+    elem_specs,
     row_spec_sort_key,
     spec_timestamp,
 )
@@ -40,8 +42,8 @@ Source = CollectorSource | MrtSource
 def merge_sources(
     sources: Sequence[Source],
     prefix_filter: PrefixPredicate | None = None,
-) -> Iterator[StreamElem]:
-    """Merge the update streams of several sources in timestamp order.
+) -> Iterator[RowSpec]:
+    """Merge the update specs of several sources in timestamp order.
 
     Within one source, relative order is preserved; across sources, ties on
     timestamp are broken by source order (``heapq.merge`` is stable), so the
@@ -50,8 +52,8 @@ def merge_sources(
     """
     # heapq.merge needs pre-sorted runs; each source is already time sorted,
     # so merge the per-source generators directly.
-    runs = [source.update_stream(prefix_filter) for source in sources]
-    return heapq.merge(*runs, key=lambda elem: elem.timestamp)
+    runs = [source.update_specs(prefix_filter) for source in sources]
+    return heapq.merge(*runs, key=spec_timestamp)
 
 
 class BgpStream:
@@ -75,32 +77,38 @@ class BgpStream:
         self.filters = list(filters)
 
     # ------------------------------------------------------------------ #
-    def _passes(self, elem: StreamElem) -> bool:
-        return all(f(elem) for f in self.filters)
+    def _rib_specs(self, prefix_filter: PrefixPredicate | None) -> list[RowSpec]:
+        """All sources' RIB specs, in deterministic order.
+
+        One stable sort over the dumps in source order, so ties keep
+        source order and then dump order.  :func:`row_spec_sort_key`
+        mirrors ``StreamElem.sort_key`` field for field, so no row is
+        materialised to establish the order.
+        """
+        dumps = chain.from_iterable(
+            source.rib_specs(prefix_filter) for source in self.sources
+        )
+        return sorted(dumps, key=row_spec_sort_key)
+
+    def _filtered(self, specs: Iterable[RowSpec]) -> Iterator[StreamElem]:
+        """Fire each spec's row thunk; keep the elems every filter passes."""
+        filters = self.filters
+        for spec in specs:
+            elem = spec[7]()
+            if all(f(elem) for f in filters):
+                yield elem
 
     def rib_elems(
         self, prefix_filter: PrefixPredicate | None = None
     ) -> Iterator[StreamElem]:
-        """All sources' RIB elems, in deterministic order.
-
-        One stable sort over the dumps in source order, so ties keep
-        source order and then dump order, and each key is computed once
-        per row.
-        """
-        dumps = chain.from_iterable(
-            source.rib_elems(prefix_filter) for source in self.sources
-        )
-        for elem in sorted(dumps, key=StreamElem.sort_key):
-            if self._passes(elem):
-                yield elem
+        """All sources' RIB elems, in deterministic order."""
+        yield from self._filtered(self._rib_specs(prefix_filter))
 
     def updates(
         self, prefix_filter: PrefixPredicate | None = None
     ) -> Iterator[StreamElem]:
         """Merged announcement/withdrawal elems, in time order."""
-        for elem in merge_sources(self.sources, prefix_filter):
-            if self._passes(elem):
-                yield elem
+        return self._filtered(merge_sources(self.sources, prefix_filter))
 
     def elems(
         self, prefix_filter: PrefixPredicate | None = None
@@ -114,18 +122,10 @@ class BgpStream:
     ) -> Iterator[RowSpec]:
         """The merged stream as row specs, in exactly :meth:`elems` order.
 
-        Sort and merge keys are computed from the spec fields
-        (:func:`row_spec_sort_key` mirrors ``StreamElem.sort_key`` field
-        for field; updates merge on the spec timestamp with the same
-        stable tie-break), so no row is materialised to establish order.
         Only valid on unfiltered streams -- elem filters need elems.
         """
-        dumps = chain.from_iterable(
-            source.rib_specs(prefix_filter) for source in self.sources
-        )
-        yield from sorted(dumps, key=row_spec_sort_key)
-        update_runs = [source.update_specs(prefix_filter) for source in self.sources]
-        yield from heapq.merge(*update_runs, key=spec_timestamp)
+        yield from self._rib_specs(prefix_filter)
+        yield from merge_sources(self.sources, prefix_filter)
 
     def batches(
         self,
@@ -139,18 +139,16 @@ class BgpStream:
         Chunk boundaries equal ``islice`` chunking of :meth:`elems`, so
         batched consumers observe exactly the elem-at-a-time order.  On
         unfiltered streams the chunks are built decoder-to-column from
-        :meth:`row_specs` (lazy rows); elem filters force the eager
-        per-elem path, since they inspect ``StreamElem`` objects.
+        :meth:`row_specs` (lazy rows); elem filters inspect ``StreamElem``
+        objects, so a filtered stream's kept elems are wrapped back into
+        specs (:func:`~repro.stream.batch.elem_specs`).
         """
-        if self.filters or not all(
-            hasattr(source, "row_specs") for source in self.sources
-        ):
-            return batch_elems(
-                self.elems(prefix_filter), batch_size, interner, peer_interner
-            )
-        return batch_specs(
-            self.row_specs(prefix_filter), batch_size, interner, peer_interner
+        specs = (
+            elem_specs(self.elems(prefix_filter))
+            if self.filters
+            else self.row_specs(prefix_filter)
         )
+        return batch_specs(specs, batch_size, interner, peer_interner)
 
     def __iter__(self) -> Iterator[StreamElem]:
         return self.elems()

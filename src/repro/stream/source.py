@@ -11,11 +11,16 @@ provided:
   :mod:`repro.mrt.reader`, mirroring how the real study parsed archived
   collector files.
 
-Both backends emit elems *incrementally*: iteration never materialises a
-source's full elem stream, and an optional ``prefix_filter`` predicate lets
-shard-parallel execution (:mod:`repro.exec`) skip non-shard messages before
-the comparatively expensive :class:`StreamElem` construction.  Both also
-answer ``peer_sets()`` (the peer IPs, peer ASes and prefixes Table 1
+Each backend produces one thing: *row specs* (``rib_specs`` /
+``update_specs`` / ``row_specs``), the columnar fields of a row plus a
+thunk that builds its :class:`StreamElem`.  Batches are built from them,
+and every elem iterator (``rib_elems`` / ``update_stream`` /
+``all_elems``) is just the same specs with each thunk fired.  Specs are
+emitted *incrementally*: iteration never materialises a source's full
+stream, and an optional ``prefix_filter`` predicate lets shard-parallel
+execution (:mod:`repro.exec`) skip non-shard messages before the
+comparatively expensive :class:`StreamElem` construction.  Both backends
+also answer ``peer_sets()`` (the peer IPs, peer ASes and prefixes Table 1
 counts) from the raw message or row fields, without building an elem.
 """
 
@@ -45,9 +50,7 @@ __all__ = [
     "MrtSource",
     "PeerSets",
     "PrefixPredicate",
-    "dump_elems",
     "message_specs",
-    "update_elems",
 ]
 
 #: Predicate deciding whether a prefix belongs to the caller's shard.
@@ -59,30 +62,6 @@ PeerSets = tuple[set[str], set[int], set[Prefix]]
 _EMPTY_COMMUNITIES = CommunitySet()
 
 
-def dump_elems(
-    dump: Iterable[BgpUpdate],
-    project: str,
-    prefix_filter: PrefixPredicate | None = None,
-) -> Iterator[StreamElem]:
-    """Lazily convert table-dump announcements into RIB elems."""
-    for message in dump:
-        if prefix_filter is not None and not prefix_filter(message.prefix):
-            continue
-        yield StreamElem.from_message(message, project, elem_type=ElemType.RIB)
-
-
-def update_elems(
-    updates: Iterable[BgpMessage],
-    project: str,
-    prefix_filter: PrefixPredicate | None = None,
-) -> Iterator[StreamElem]:
-    """Lazily convert live updates into announcement/withdrawal elems."""
-    for message in updates:
-        if prefix_filter is not None and not prefix_filter(message.prefix):
-            continue
-        yield StreamElem.from_message(message, project)
-
-
 def message_specs(
     messages: Iterable[BgpMessage],
     project: str,
@@ -91,12 +70,10 @@ def message_specs(
 ) -> Iterator[RowSpec]:
     """Lazily convert BGP messages into row specs -- no elems built.
 
-    The spec twin of :func:`dump_elems` / :func:`update_elems`: the
-    columnar fields are read straight off the message, and the
+    The columnar fields are read straight off the message, and the
     ``StreamElem`` construction is deferred into the spec's row thunk
     (invoking it yields exactly ``StreamElem.from_message`` of the same
-    message).  ``rib=True`` marks announcements as RIB entries, matching
-    ``dump_elems``.
+    message).  ``rib=True`` marks announcements as RIB entries.
     """
     from_message = StreamElem.from_message
     rib_type = ElemType.RIB if rib else None
@@ -124,6 +101,60 @@ def message_specs(
             communities,
             lambda message=message: from_message(message, project, rib_type),
         )
+
+
+# The spec-derived methods both source types share.  Each class binds them
+# in its own body instead of inheriting them from a base class, because
+# benchmarks/harness/tracer.py patches methods through the class's own
+# ``__dict__``.
+def _rib_elems(
+    self, prefix_filter: PrefixPredicate | None = None
+) -> Iterator[StreamElem]:
+    """RIB elems from the initial table dump (possibly empty)."""
+    for spec in self.rib_specs(prefix_filter):
+        yield spec[7]()
+
+
+def _update_stream(
+    self, prefix_filter: PrefixPredicate | None = None
+) -> Iterator[StreamElem]:
+    """Announcement/withdrawal elems in time order."""
+    for spec in self.update_specs(prefix_filter):
+        yield spec[7]()
+
+
+def _all_elems(
+    self, prefix_filter: PrefixPredicate | None = None
+) -> Iterator[StreamElem]:
+    """RIB elems first, then the update stream."""
+    for spec in self.row_specs(prefix_filter):
+        yield spec[7]()
+
+
+def _row_specs(
+    self, prefix_filter: PrefixPredicate | None = None
+) -> Iterator[RowSpec]:
+    """Row specs of the RIB dump, then of the update stream."""
+    yield from self.rib_specs(prefix_filter)
+    yield from self.update_specs(prefix_filter)
+
+
+def _batches(
+    self,
+    batch_size: int,
+    prefix_filter: PrefixPredicate | None = None,
+    interner: CommunityInterner | None = None,
+    peer_interner: PeerPrefixInterner | None = None,
+) -> Iterator[ElemBatch]:
+    """This source's rows in columnar chunks of ``batch_size``.
+
+    Built decoder-to-column: the typed columns are assembled straight
+    from row specs and the ``elems`` column stays lazy -- a row is only
+    materialised if a consumer indexes it.
+    """
+    return batch_specs(
+        self.row_specs(prefix_filter), batch_size, interner, peer_interner
+    )
 
 
 class CollectorSource:
@@ -159,26 +190,6 @@ class CollectorSource:
             self._dump = list(rib or [])
         self._updates = sorted(updates, key=lambda m: m.timestamp)
 
-    # ------------------------------------------------------------------ #
-    def rib_elems(
-        self, prefix_filter: PrefixPredicate | None = None
-    ) -> Iterator[StreamElem]:
-        """RIB elems from the initial table dump (possibly empty)."""
-        return dump_elems(self._dump, self.project, prefix_filter)
-
-    def update_stream(
-        self, prefix_filter: PrefixPredicate | None = None
-    ) -> Iterator[StreamElem]:
-        """Announcement/withdrawal elems in time order."""
-        return update_elems(self._updates, self.project, prefix_filter)
-
-    def all_elems(
-        self, prefix_filter: PrefixPredicate | None = None
-    ) -> Iterator[StreamElem]:
-        """RIB elems first, then the update stream."""
-        yield from self.rib_elems(prefix_filter)
-        yield from self.update_stream(prefix_filter)
-
     def peer_sets(self) -> PeerSets:
         """The peer IPs, peer ASes and prefixes of :meth:`all_elems`.
 
@@ -192,42 +203,23 @@ class CollectorSource:
             {message.prefix for message in messages},
         )
 
-    # -- decoder-to-column path ---------------------------------------- #
     def rib_specs(
         self, prefix_filter: PrefixPredicate | None = None
     ) -> Iterator[RowSpec]:
-        """Row specs of :meth:`rib_elems` (rows deferred)."""
+        """Row specs of the table dump (rows deferred)."""
         return message_specs(self._dump, self.project, rib=True, prefix_filter=prefix_filter)
 
     def update_specs(
         self, prefix_filter: PrefixPredicate | None = None
     ) -> Iterator[RowSpec]:
-        """Row specs of :meth:`update_stream` (rows deferred)."""
+        """Row specs of the time-sorted updates (rows deferred)."""
         return message_specs(self._updates, self.project, prefix_filter=prefix_filter)
 
-    def row_specs(
-        self, prefix_filter: PrefixPredicate | None = None
-    ) -> Iterator[RowSpec]:
-        """Row specs of :meth:`all_elems`, in the same order."""
-        yield from self.rib_specs(prefix_filter)
-        yield from self.update_specs(prefix_filter)
-
-    def batches(
-        self,
-        batch_size: int,
-        prefix_filter: PrefixPredicate | None = None,
-        interner: CommunityInterner | None = None,
-        peer_interner: PeerPrefixInterner | None = None,
-    ) -> Iterator[ElemBatch]:
-        """This source's elems in columnar chunks of ``batch_size``.
-
-        Built decoder-to-column: the typed columns are assembled straight
-        from row specs and the ``elems`` column stays lazy -- a row is only
-        materialised if a consumer indexes it.
-        """
-        return batch_specs(
-            self.row_specs(prefix_filter), batch_size, interner, peer_interner
-        )
+    rib_elems = _rib_elems
+    update_stream = _update_stream
+    all_elems = _all_elems
+    row_specs = _row_specs
+    batches = _batches
 
     def __len__(self) -> int:
         return len(self._dump) + len(self._updates)
@@ -262,28 +254,6 @@ class MrtSource:
         self._rib_bytes = rib_bytes
         self._update_bytes = update_bytes
 
-    def rib_elems(
-        self, prefix_filter: PrefixPredicate | None = None
-    ) -> Iterator[StreamElem]:
-        if not self._rib_bytes:
-            return iter(())
-        reader = MrtReader(collector=self.collector)
-        return dump_elems(reader.messages(self._rib_bytes, prefix_filter), self.project)
-
-    def update_stream(
-        self, prefix_filter: PrefixPredicate | None = None
-    ) -> Iterator[StreamElem]:
-        if not self._update_bytes:
-            return iter(())
-        reader = MrtReader(collector=self.collector)
-        return update_elems(reader.messages(self._update_bytes, prefix_filter), self.project)
-
-    def all_elems(
-        self, prefix_filter: PrefixPredicate | None = None
-    ) -> Iterator[StreamElem]:
-        yield from self.rib_elems(prefix_filter)
-        yield from self.update_stream(prefix_filter)
-
     def peer_sets(self) -> PeerSets:
         """The peer IPs, peer ASes and prefixes of :meth:`all_elems`.
 
@@ -303,11 +273,10 @@ class MrtSource:
                 prefixes.add(prefix)
         return peer_ips, peer_ases, prefixes
 
-    # -- decoder-to-column path ---------------------------------------- #
     def rib_specs(
         self, prefix_filter: PrefixPredicate | None = None
     ) -> Iterator[RowSpec]:
-        """Row specs of :meth:`rib_elems`, decoded column-first.
+        """Row specs of the RIB archive, decoded column-first.
 
         The reader writes timestamp/prefix/peer/community fields straight
         out of the MRT records; neither a ``BgpMessage`` nor a
@@ -323,7 +292,7 @@ class MrtSource:
     def update_specs(
         self, prefix_filter: PrefixPredicate | None = None
     ) -> Iterator[RowSpec]:
-        """Row specs of :meth:`update_stream`, decoded column-first."""
+        """Row specs of the update archive, decoded column-first."""
         if not self._update_bytes:
             return iter(())
         reader = MrtReader(collector=self.collector)
@@ -331,24 +300,11 @@ class MrtSource:
             self._update_bytes, self.project, prefix_filter=prefix_filter
         )
 
-    def row_specs(
-        self, prefix_filter: PrefixPredicate | None = None
-    ) -> Iterator[RowSpec]:
-        """Row specs of :meth:`all_elems`, in the same order."""
-        yield from self.rib_specs(prefix_filter)
-        yield from self.update_specs(prefix_filter)
-
-    def batches(
-        self,
-        batch_size: int,
-        prefix_filter: PrefixPredicate | None = None,
-        interner: CommunityInterner | None = None,
-        peer_interner: PeerPrefixInterner | None = None,
-    ) -> Iterator[ElemBatch]:
-        """Decoded elems in columnar chunks of ``batch_size`` (lazy rows)."""
-        return batch_specs(
-            self.row_specs(prefix_filter), batch_size, interner, peer_interner
-        )
+    rib_elems = _rib_elems
+    update_stream = _update_stream
+    all_elems = _all_elems
+    row_specs = _row_specs
+    batches = _batches
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         rib_size = len(self._rib_bytes or b"")

@@ -39,12 +39,16 @@ from repro.stream.batch import (
     TYPE_RIB,
     TYPE_WITHDRAWAL,
     ElemBatch,
-    batch_elems,
+    batch_specs,
+    elem_specs,
     prefix_shard_key,
+    stream_batches,
 )
 from repro.stream.merger import BgpStream
 from repro.stream.record import ElemType, StreamElem
 from repro.stream.source import CollectorSource
+
+from column_checks import assert_columns_match_rows
 
 
 def _elem(ts, prefix, elem_type=ElemType.ANNOUNCEMENT, communities=(),
@@ -95,9 +99,14 @@ def _process_elemwise(engine, elems):
 
 
 def _process_in_batches(engine, elems, size):
-    """The column kernel over ``size``-row eager chunks of ``elems``."""
-    for batch in batch_elems(elems, size):
+    """The column kernel over ``size``-row chunks of ``elems``.
+
+    Once the kernel is done, every column is checked against its rows.
+    """
+    batches = list(stream_batches(elems, size))
+    for batch in batches:
         engine.process_batch(batch)
+    assert assert_columns_match_rows(batches, size) == list(elems)
 
 
 def _stats_without_dispatch(engine_stats) -> dict:
@@ -107,8 +116,8 @@ def _stats_without_dispatch(engine_stats) -> dict:
     # row_touches intentionally differs: every kept elem on the per-elem
     # path, only the interesting rows on the column kernel.
     counters.pop("row_touches")
-    # rows_materialised likewise: always 0 on eager paths, the count of
-    # kernel-forced rows on lazy decoder-to-column batches.
+    # rows_materialised likewise: the row thunks the kernel fired; the
+    # per-elem path fires none.
     counters.pop("rows_materialised")
     return counters
 
@@ -192,16 +201,16 @@ class TestElemBatch:
         # Ids are exact (dict-interned): re-interning returns the same id.
         assert batch.peer_interner.intern(triple) == ids[0]
 
-    def test_batch_elems_chunks_and_validates(self):
+    def test_batch_specs_chunks_and_validates(self):
         elems = _elems()
-        batches = list(batch_elems(iter(elems), 3))
+        batches = list(batch_specs(elem_specs(iter(elems)), 3))
         assert [len(b) for b in batches] == [3, 1]
-        assert [e for b in batches for e in b] == elems
+        assert assert_columns_match_rows(batches, 3) == elems
         # One shared interner pair across the chunks of one call.
         assert batches[0].interner is batches[1].interner
         assert batches[0].peer_interner is batches[1].peer_interner
         with pytest.raises(ValueError):
-            list(batch_elems(iter(elems), 0))
+            list(batch_specs(elem_specs(iter(elems)), 0))
 
     def test_stream_and_source_batches_match_their_elems(self):
         source = CollectorSource(
@@ -565,9 +574,11 @@ class TestBatchedDispatchProperty:
         elemwise = CommunityUsageStats()
         elemwise.observe_stream(elems, _PROPERTY_DICTIONARY)
         batched = CommunityUsageStats()
-        for batch in batch_elems(elems, batch_size):
+        batches = list(stream_batches(elems, batch_size))
+        for batch in batches:
             batched.observe_batch(batch, _PROPERTY_DICTIONARY)
         assert batched == elemwise
+        assert assert_columns_match_rows(batches, batch_size) == elems
 
 
 # --------------------------------------------------------------------------- #

@@ -77,15 +77,15 @@ class TestMergeDeterminism:
         return [left, right]
 
     def test_equal_timestamps_break_ties_by_source_order(self):
-        merged = list(merge_sources(self._tied_sources()))
+        merged = [spec[7]() for spec in merge_sources(self._tied_sources())]
         assert [e.timestamp for e in merged] == [1.0, 1.0, 2.0, 2.0]
         # For each tied timestamp the first-listed source wins.
         assert [e.project for e in merged] == ["ris", "pch", "ris", "pch"]
 
     def test_merge_is_reproducible_across_runs(self):
         sources = self._tied_sources()
-        first = [e.sort_key() for e in merge_sources(sources)]
-        second = [e.sort_key() for e in merge_sources(sources)]
+        first = [spec[7]().sort_key() for spec in merge_sources(sources)]
+        second = [spec[7]().sort_key() for spec in merge_sources(sources)]
         assert first == second
 
     def test_equal_timestamps_within_one_source_keep_order(self):
@@ -97,7 +97,7 @@ class TestMergeDeterminism:
                 _update(5.0, prefix="198.51.100.2/32"),
             ],
         )
-        merged = list(merge_sources([source]))
+        merged = [spec[7]() for spec in merge_sources([source])]
         assert [str(e.prefix) for e in merged] == [
             "198.51.100.1/32",
             "198.51.100.2/32",

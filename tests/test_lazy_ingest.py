@@ -4,23 +4,32 @@ Covers the acceptance properties of the lazy batch-building layer:
 
 * lazy row columns -- rows materialise exactly once, on first indexed
   access, with a shared ``materialised`` counter that sub-views never fork;
-* builder parity -- ``batch_specs`` over source row specs builds columns
-  (and interner ids) bit-identical to eager ``batch_elems`` over the same
-  source's elems, on the in-memory, MRT and merged-stream paths, under
-  adversarial orderings;
+* elem oracles -- every elem iterator (``all_elems``, ``rib_elems``,
+  ``update_stream``, ``BgpStream.elems``) is derived from the same row
+  specs as the batches, so each is held to an oracle built without specs:
+  ``StreamElem.from_message`` over the source's messages (in-memory) or
+  over ``MrtReader.messages`` (MRT), then the stable RIB sort and
+  timestamp heap merge (merged stream), with and without elem filters;
+* builder columns -- every column (and interner id) of a source's or
+  merged stream's batches equals the field of its materialised rows
+  (``column_checks.assert_columns_match_rows``), chunked like ``islice``,
+  and the rows equal the oracle, on the in-memory, MRT and merged-stream
+  paths, under adversarial orderings;
 * zero-copy selects -- contiguous index runs slice typed columns through
   ``memoryview`` views, ``_split_batch`` takes the zero-copy branch for
   shard-grouped batches, and neither path ever forces a lazy row;
 * engine laziness -- a fully-boring stream completes with
   ``rows_materialised == 0``, and lazy batches produce bit-identical
-  outcomes to the eager per-elem path on serial, inline and process
-  backends.
+  outcomes to the per-elem ``process`` oracle on serial, inline and
+  process backends.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 from array import array
+from itertools import chain
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -33,7 +42,7 @@ from repro.core.inference import BlackholingInferenceEngine
 from repro.dictionary.model import BlackholeDictionary, CommunityEntry, CommunitySource
 from repro.exec import ExecutionPlan
 from repro.exec.plan import _split_batch, observation_sort_key
-from repro.mrt.reader import read_records
+from repro.mrt.reader import MrtReader, read_records
 from repro.mrt.writer import write_rib, write_updates
 from repro.netutils.prefixes import Prefix
 from repro.stream.batch import (
@@ -42,11 +51,13 @@ from repro.stream.batch import (
     ElemBatch,
     LazyRowColumn,
     PeerPrefixInterner,
-    batch_elems,
 )
 from repro.stream.filters import TimeWindowFilter
 from repro.stream.merger import BgpStream
+from repro.stream.record import ElemType, StreamElem
 from repro.stream.source import CollectorSource, MrtSource
+
+from column_checks import assert_columns_match_rows
 
 _DICTIONARY = BlackholeDictionary(
     [
@@ -82,20 +93,6 @@ def _withdrawal(ts, prefix, peer="10.0.0.1", collector="rrc00"):
         peer_as=64500,
         prefix=Prefix.from_string(prefix),
     )
-
-
-def _assert_same_columns(eager: ElemBatch, lazy: ElemBatch):
-    """Every column (including interned ids) bit-identical, rows last."""
-    assert list(eager.timestamps) == list(lazy.timestamps)
-    assert bytes(eager.type_codes) == bytes(lazy.type_codes)
-    assert eager.collectors == lazy.collectors
-    assert eager.peer_ips == lazy.peer_ips
-    assert eager.prefixes == lazy.prefixes
-    assert bytes(eager.prefix_lengths) == bytes(lazy.prefix_lengths)
-    assert list(eager.prefix_keys) == list(lazy.prefix_keys)
-    assert list(eager.community_ids) == list(lazy.community_ids)
-    assert list(eager.peer_prefix_ids) == list(lazy.peer_prefix_ids)
-    assert list(eager) == list(lazy)
 
 
 # --------------------------------------------------------------------------- #
@@ -154,7 +151,7 @@ class TestLazyRowColumn:
 
 
 # --------------------------------------------------------------------------- #
-# Builder parity with the eager path
+# Oracles built without row specs
 # --------------------------------------------------------------------------- #
 _ops = st.lists(
     st.tuples(
@@ -166,18 +163,119 @@ _ops = st.lists(
 )
 
 
-def _messages(ops):
+def _messages(ops, collector="rrc00"):
     out = []
     for index, (op, prefix, peer) in enumerate(ops):
         if op == "withdraw":
-            out.append(_withdrawal(index, prefix, peer=peer))
+            out.append(_withdrawal(index, prefix, peer=peer, collector=collector))
         elif op == "announce_untagged":
-            out.append(_update(index, prefix, peer=peer))
+            out.append(_update(index, prefix, peer=peer, collector=collector))
         else:
-            out.append(_update(index, prefix, peer=peer, communities=["64999:666"]))
+            tag = ["64999:666"]
+            out.append(_update(index, prefix, peer=peer, collector=collector, communities=tag))
     return out
 
 
+def _oracle(project, dump, updates):
+    """``(rib elems, update elems)`` straight from the messages."""
+    rib = [StreamElem.from_message(m, project, ElemType.RIB) for m in dump]
+    return rib, [StreamElem.from_message(m, project) for m in updates]
+
+
+def _mrt_oracle(source, prefix_filter=None):
+    """The MRT source's elems via the reader's message objects."""
+    def messages(data):
+        reader = MrtReader(collector=source.collector)
+        return list(reader.messages(data, prefix_filter)) if data else []
+
+    return _oracle(
+        source.project,
+        messages(source._rib_bytes),
+        messages(source._update_bytes),
+    )
+
+
+def _stream_oracle(parts, filters=()):
+    """Sort the RIB elems, heap-merge the update runs, then filter."""
+    rib = sorted(chain.from_iterable(r for r, _ in parts), key=StreamElem.sort_key)
+    live = heapq.merge(*(u for _, u in parts), key=lambda elem: elem.timestamp)
+    return [e for e in chain(rib, live) if all(f(e) for f in filters)]
+
+
+def _mrt_source():
+    rib = Rib("rrc00")
+    rib.apply(_update(1000.0, "198.51.100.0/24"))
+    rib.apply(_update(1000.0, "203.0.113.0/24", communities=["64999:666"]))
+    updates = [
+        _update(2000.0, "203.0.113.7/32", communities=["64999:666"]),
+        _withdrawal(2100.0, "203.0.113.7/32"),
+        _update(2200.0, "2001:db8::/32"),
+    ]
+    return MrtSource(
+        "ris",
+        "rrc00",
+        rib_bytes=write_rib(rib),
+        update_bytes=write_updates(updates),
+    )
+
+
+class TestElemOracle:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(ops=_ops)
+    def test_collector_source_elems_match_from_message(self, ops):
+        messages = _messages(ops)
+        dump = [m for m in messages if isinstance(m, BgpUpdate)][:3][::-1]
+        source = CollectorSource("ris", "rrc00", rib=dump, updates=messages[::-1])
+        rib, live = _oracle("ris", dump, sorted(messages, key=lambda m: m.timestamp))
+        assert list(source.rib_elems()) == rib
+        assert list(source.update_stream()) == live
+        assert list(source.all_elems()) == rib + live
+
+    @pytest.mark.parametrize(
+        "prefix_filter", [None, lambda prefix: prefix.length == 24]
+    )
+    def test_mrt_source_elems_match_reader_messages(self, prefix_filter):
+        source = _mrt_source()
+        rib, live = _mrt_oracle(source, prefix_filter)
+        assert rib and live or prefix_filter is not None
+        assert list(source.rib_elems(prefix_filter)) == rib
+        assert list(source.update_stream(prefix_filter)) == live
+        assert list(source.all_elems(prefix_filter)) == rib + live
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(ops=_ops, window=st.none() | st.tuples(st.integers(0, 30), st.integers(0, 30)))
+    def test_merged_stream_elems_match_sort_and_merge(self, ops, window):
+        messages = _messages(ops)
+        other = _messages(ops[::-1], collector="route-views2")
+        # Few distinct dump times, so RIB rows tie on time across sources.
+        dump = [
+            dataclasses.replace(m, timestamp=float(m.timestamp % 3))
+            for m in messages[::-1]
+            if isinstance(m, BgpUpdate)
+        ]
+        sources = [
+            CollectorSource("ris", "rrc00", rib=dump[:4], updates=messages),
+            CollectorSource("routeviews", "route-views2", rib=dump[4:], updates=other),
+            _mrt_source(),
+        ]
+        filters = [TimeWindowFilter(*map(float, sorted(window)))] if window else []
+        parts = [
+            _oracle("ris", dump[:4], messages),
+            _oracle("routeviews", dump[4:], other),
+            _mrt_oracle(sources[2]),
+        ]
+        expected = _stream_oracle(parts, filters)
+        stream = BgpStream(sources, filters=filters)
+        assert list(stream.elems()) == expected
+        assert list(stream) == expected
+        rib_count = sum(e.is_rib for e in expected)
+        assert list(stream.rib_elems()) == expected[:rib_count]
+        assert list(stream.updates()) == expected[rib_count:]
+
+
+# --------------------------------------------------------------------------- #
+# Builder columns against the materialised rows
+# --------------------------------------------------------------------------- #
 class TestBuilderParity:
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(ops=_ops, batch_size=st.integers(min_value=1, max_value=9))
@@ -185,13 +283,11 @@ class TestBuilderParity:
         messages = _messages(ops)
         dump = [m for m in messages if isinstance(m, BgpUpdate)][:2]
         source = CollectorSource("ris", "rrc00", rib=dump, updates=messages)
-        eager = list(batch_elems(source.all_elems(), batch_size))
         lazy = list(source.batches(batch_size))
-        assert len(eager) == len(lazy)
-        for eager_batch, lazy_batch in zip(eager, lazy):
-            assert lazy_batch.rows_materialised == 0
-            _assert_same_columns(eager_batch, lazy_batch)
-            assert lazy_batch.rows_materialised == len(lazy_batch)
+        assert all(batch.rows_materialised == 0 for batch in lazy)
+        rib, live = _oracle("ris", dump, messages)
+        assert assert_columns_match_rows(lazy, batch_size) == rib + live
+        assert all(batch.rows_materialised == len(batch) for batch in lazy)
 
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(ops=_ops, batch_size=st.integers(min_value=1, max_value=9))
@@ -204,12 +300,12 @@ class TestBuilderParity:
                 CollectorSource("routeviews", "route-views2", updates=messages[half:]),
             ]
         )
-        eager = list(batch_elems(stream.elems(), batch_size))
         lazy = list(stream.batches(batch_size))
-        assert len(eager) == len(lazy)
-        for eager_batch, lazy_batch in zip(eager, lazy):
-            assert lazy_batch.rows_materialised == 0
-            _assert_same_columns(eager_batch, lazy_batch)
+        assert all(batch.rows_materialised == 0 for batch in lazy)
+        rows = assert_columns_match_rows(lazy, batch_size)
+        assert rows == _stream_oracle(
+            [_oracle("ris", [], messages[:half]), _oracle("routeviews", [], messages[half:])]
+        )
 
     def test_rib_dump_specs_order_like_sorted_elems(self):
         # Unsorted dumps: the spec-level sort key must order exactly like
@@ -220,21 +316,26 @@ class TestBuilderParity:
             _update(1.0, "203.0.113.0/24", peer="10.0.0.1"),
         ]
         stream = BgpStream([CollectorSource("ris", "rrc00", rib=dump)])
-        eager = list(batch_elems(stream.elems(), 8))
-        lazy = list(stream.batches(8))
-        for eager_batch, lazy_batch in zip(eager, lazy):
-            _assert_same_columns(eager_batch, lazy_batch)
+        rows = assert_columns_match_rows(list(stream.batches(8)), 8)
+        expected = sorted(_oracle("ris", dump, [])[0], key=StreamElem.sort_key)
+        assert rows == expected
+        assert [str(row.prefix) for row in rows] == [
+            "203.0.113.0/24", "198.51.100.0/24", "203.0.113.0/24"
+        ]
 
     def test_filtered_stream_falls_back_to_eager_batches(self):
+        messages = _messages([("announce_tagged", "185.1.0.1/32", "10.0.0.1")] * 3)
         stream = BgpStream(
-            [CollectorSource("ris", "rrc00", updates=_messages([("announce_tagged", "185.1.0.1/32", "10.0.0.1")] * 3))],
+            [CollectorSource("ris", "rrc00", updates=messages)],
             filters=[TimeWindowFilter(0.0, 2.0)],
         )
         batches = list(stream.batches(8))
-        elems = list(stream.elems())
-        assert [e for b in batches for e in b] == elems
-        assert len(elems) == 2  # the window keeps ts 0.0 and 1.0 only
-        # Eager fallback: rows pre-exist (the filters inspected them).
+        # The filters built the kept elems; the batch wraps them, and no
+        # wrapper thunk fires until a row is indexed.
+        assert all(b.rows_materialised == 0 for b in batches)
+        rows = assert_columns_match_rows(batches, 8)
+        assert rows == list(stream.elems())
+        assert rows == _oracle("ris", [], messages[:2])[1]  # ts 0.0 and 1.0 only
         assert all(b.rows_materialised == len(b) for b in batches)
 
     def test_builder_shares_one_interner_pair_across_batches(self):
@@ -288,38 +389,21 @@ class TestBuilderParity:
 # MRT decoder-to-column path
 # --------------------------------------------------------------------------- #
 class TestMrtSpecParity:
-    def _source(self):
-        rib = Rib("rrc00")
-        rib.apply(_update(1000.0, "198.51.100.0/24"))
-        rib.apply(_update(1000.0, "203.0.113.0/24", communities=["64999:666"]))
-        updates = [
-            _update(2000.0, "203.0.113.7/32", communities=["64999:666"]),
-            _withdrawal(2100.0, "203.0.113.7/32"),
-            _update(2200.0, "2001:db8::/32"),
-        ]
-        return MrtSource(
-            "ris",
-            "rrc00",
-            rib_bytes=write_rib(rib),
-            update_bytes=write_updates(updates),
-        )
-
     def test_mrt_batches_match_eager_columns(self):
-        source = self._source()
-        eager = list(batch_elems(source.all_elems(), 2))
+        source = _mrt_source()
         lazy = list(source.batches(2))
-        assert len(eager) == len(lazy)
-        for eager_batch, lazy_batch in zip(eager, lazy):
-            assert lazy_batch.rows_materialised == 0
-            _assert_same_columns(eager_batch, lazy_batch)
+        assert all(batch.rows_materialised == 0 for batch in lazy)
+        rib, live = _mrt_oracle(source)
+        assert assert_columns_match_rows(lazy, 2) == rib + live
 
     def test_mrt_prefix_filter_applies_before_the_row_thunk(self):
-        source = self._source()
+        source = _mrt_source()
         keep = lambda prefix: prefix.length == 24
-        eager = list(source.all_elems(keep))
-        lazy = [elem for batch in source.batches(8, keep) for elem in batch]
-        assert eager == lazy
-        assert len(eager) == 2
+        batches = list(source.batches(8, keep))
+        assert all(batch.rows_materialised == 0 for batch in batches)
+        rib, live = _mrt_oracle(source, keep)
+        assert assert_columns_match_rows(batches, 8) == rib + live
+        assert len(rib + live) == 2
 
     def test_read_records_hands_out_memoryview_payloads(self):
         data = write_updates([_update(2000.0, "203.0.113.7/32")])

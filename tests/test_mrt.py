@@ -91,11 +91,11 @@ class TestTableDumpV2:
     def test_rib_entry_before_peer_index_raises(self):
         rib = self._rib()
         data = write_rib(rib)
-        records = list(read_records(data))
-        reader = MrtReader()
+        peer_index = next(read_records(data))
+        # Drop the PEER_INDEX_TABLE record: its 12-byte header and payload.
+        rib_records = data[12 + len(peer_index.payload) :]
         with pytest.raises(MrtError):
-            # Skip the PEER_INDEX_TABLE record.
-            list(reader.messages_from_record(records[1]))
+            list(MrtReader().messages(rib_records))
 
     def test_writer_rejects_mixed_prefix_entries(self):
         writer = MrtWriter()

@@ -247,7 +247,7 @@ class TestTable1:
             raise AssertionError("Table 1 built a row object")
 
         monkeypatch.setattr(StreamElem, "from_message", forbidden)
-        monkeypatch.setattr(MrtReader, "messages_from_record", forbidden)
+        monkeypatch.setattr(MrtReader, "messages", forbidden)
         for dataset in (small_dataset, small_mrt_dataset):
             result = _table1(dataset)
             assert result.rows == expected.rows

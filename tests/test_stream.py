@@ -133,7 +133,7 @@ class TestMerger:
         return [left, right]
 
     def test_merge_orders_by_time(self):
-        merged = list(merge_sources(self._sources()))
+        merged = [spec[7]() for spec in merge_sources(self._sources())]
         assert [e.timestamp for e in merged] == [1.0, 2.0, 4.0, 5.0]
 
     def test_stream_yields_rib_then_updates(self):
