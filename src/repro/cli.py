@@ -34,10 +34,11 @@ group and collapse those tables across an axis (e.g. mean over seeds).
 persisted content-addressed under ``DIR``, and ``--resume`` lets a fresh
 process pick the sweep back up with zero rebuilds of grid-invariant stages.
 ``--workers-distributed N`` turns the store into a shared work-queue served
-by N worker processes (lease-based claims, exactly-once shared-stage builds
-fleet-wide); standalone ``repro worker --store DIR`` invocations -- on this
-host or any other sharing the path -- join the same queue, and ``sweep
---status --store DIR`` inspects its cell/lease/worker state.
+by N worker processes (each lease claims one stream group, run as one fused
+pass, so shared stages are built once per queue); standalone ``repro worker
+--store DIR`` invocations -- on this host or any other sharing the path --
+join the same queue, and ``sweep --status --store DIR`` inspects its
+cell/lease/worker state.
 ``report`` resolves named figure/table artifacts lazily -- each analysis
 builds only the pipeline stages its registry entry declares, so e.g.
 ``repro report fig2`` never pays for the inference pass.
@@ -583,14 +584,16 @@ def _sweep_distributed(
 
 
 def _cmd_worker(args: argparse.Namespace, out: Callable[[str], None]) -> int:
-    """One standalone queue worker: claim cells until the grid drains.
+    """One standalone queue worker: claim stream groups until the grid drains.
 
     Several invocations -- on one host or many sharing the store path --
-    cooperate on the same grid.  SIGTERM/SIGINT request a graceful stop:
-    the worker finishes the cell in hand, explicitly releases any other
-    claims it holds (no TTL wait for the rest of the fleet), records its
-    ledger and exits 0; a second signal falls back to the default (abrupt)
-    behaviour, which lease expiry also survives.
+    cooperate on the same grid; each claim is one stream group (the cells
+    of one scenario configuration), run as one fused pass.  SIGTERM/SIGINT
+    request a graceful stop: the worker finishes the group in hand (or
+    explicitly releases a group it has not started, so the rest of the
+    fleet need not wait for the TTL), records its ledger and exits 0; a
+    second signal falls back to the default (abrupt) behaviour, which
+    lease expiry also survives.
     """
     import signal
     import threading
@@ -603,9 +606,6 @@ def _cmd_worker(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     except ValueError as exc:
         out(f"error: {exc}")
         return 2
-    if args.claim_batch < 1:
-        out("error: --claim-batch must be >= 1")
-        return 2
     projects = set(args.projects) if args.projects else None
     store = DiskStore(args.store, resume=True)
     campaign = StudyCampaign(matrix, plan=plan, projects=projects, store=store)
@@ -613,8 +613,8 @@ def _cmd_worker(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     previous = {}
 
     def _graceful(signum, frame):
-        out(f"worker: received {signal.Signals(signum).name}, finishing current "
-            "cell and releasing other claims ...")
+        out(f"worker: received {signal.Signals(signum).name}, finishing the "
+            "group in hand ...")
         stop_event.set()
         # A second signal gets the default handling (abrupt exit; the
         # lease TTL and the store's init sweep cover that path too).
@@ -629,7 +629,6 @@ def _cmd_worker(args: argparse.Namespace, out: Callable[[str], None]) -> int:
         worker_id=args.worker_id,
         lease_ttl=args.lease_ttl,
         max_attempts=args.max_attempts,
-        claim_batch=args.claim_batch,
         max_cells=args.max_cells,
         stop_event=stop_event,
         status_out=out,
@@ -809,16 +808,16 @@ def build_parser() -> argparse.ArgumentParser:
             type=float,
             default=DEFAULT_LEASE_TTL,
             metavar="SECONDS",
-            help="cell-lease time-to-live: a worker silent this long is presumed "
-            f"dead and its cell reclaimed (default: {DEFAULT_LEASE_TTL:g})",
+            help="group-lease time-to-live: a worker silent this long is presumed "
+            f"dead and its stream group reclaimed (default: {DEFAULT_LEASE_TTL:g})",
         )
         sub.add_argument(
             "--max-attempts",
             type=int,
             default=DEFAULT_MAX_ATTEMPTS,
             metavar="N",
-            help="poison a cell after N abandoned attempts instead of retrying "
-            f"it forever (default: {DEFAULT_MAX_ATTEMPTS})",
+            help="poison a stream group after N abandoned attempts instead of "
+            f"retrying it forever (default: {DEFAULT_MAX_ATTEMPTS})",
         )
 
     sweep = subparsers.add_parser(
@@ -867,9 +866,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help="serve the grid with N cooperating worker processes over the "
-        "--store queue (lease-based claims, shared stages built exactly "
-        "once fleet-wide); `repro worker` instances on other hosts may "
-        "join the same queue",
+        "--store queue (each lease claims one stream group, so shared stages "
+        "are built once per queue); `repro worker` instances on other hosts "
+        "may join the same queue",
     )
     sweep.add_argument(
         "--status",
@@ -907,20 +906,13 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: <host>-<pid>)",
     )
     worker.add_argument(
-        "--claim-batch",
-        type=int,
-        default=1,
-        metavar="N",
-        help="cells to claim per sweep of the queue; claims sharing a stream "
-        "identity fuse into one multi-engine pass (default: 1)",
-    )
-    worker.add_argument(
         "--max-cells",
         type=int,
         default=None,
         metavar="N",
-        help="exit after completing N cells (default: run until the queue "
-        "drains)",
+        help="claim no further stream group once N cells are done; the group "
+        "in hand is always finished, so a worker may end above N "
+        "(default: run until the queue drains)",
     )
     worker.set_defaults(func=_cmd_worker)
     return parser

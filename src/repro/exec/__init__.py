@@ -30,13 +30,14 @@ shard-parallel execution layer:
   (:mod:`repro.analysis.registry`) across every cell into a
   :class:`CampaignTable`;
 * :mod:`repro.exec.distrib` -- the distributed campaign layer: a
-  crash-safe, lease-based :class:`CellQueue` inside the
-  :class:`DiskStore`, a :class:`LeasedStore` build gate making shared
-  stages exactly-once fleet-wide, per-worker :class:`WorkerLedger`
-  accounting, and :func:`run_worker` / :func:`run_distributed`
-  (``StudyCampaign.run_distributed``, ``repro worker``, ``repro sweep
-  --workers-distributed``) so N processes on one host or many serve one
-  grid against one warm store.
+  crash-safe :class:`CellQueue` inside the :class:`DiskStore` that leases
+  whole stream groups (the cells of one scenario configuration), so each
+  claim is one fused pass and every shared stage is built by the group's
+  holder alone -- exactly once per queue; per-worker
+  :class:`WorkerLedger` accounting; and :func:`run_worker` /
+  :func:`run_distributed` (``StudyCampaign.run_distributed``, ``repro
+  worker``, ``repro sweep --workers-distributed``) so N processes on one
+  host or many serve one grid against one warm store.
 
 ``ExecutionPlan(workers=1)`` reproduces the pre-refactor serial pipeline
 bit-for-bit; larger worker counts shard by prefix, which is exact because
@@ -57,10 +58,9 @@ from repro.exec.campaign import (
 )
 from repro.exec.context import ArtifactCache, PipelineContext
 from repro.exec.distrib import (
-    CellClaim,
     CellQueue,
     DistributedOutcome,
-    LeasedStore,
+    GroupClaim,
     QueueStatus,
     WorkerLedger,
     aggregate_build_counts,
@@ -103,12 +103,11 @@ __all__ = [
     "ArtifactStore",
     "CampaignResult",
     "CampaignTable",
-    "CellClaim",
     "CellQueue",
     "DEFAULT_MAX_RESIDENT_OBSERVATIONS",
     "DiskStore",
     "DistributedOutcome",
-    "LeasedStore",
+    "GroupClaim",
     "QueueStatus",
     "WorkerLedger",
     "ExecutionOutcome",

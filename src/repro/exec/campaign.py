@@ -646,10 +646,10 @@ class StudyCampaign:
         Delegates to :func:`repro.exec.distrib.run_distributed`: the cells
         are enumerated into a durable work-queue inside the campaign's
         :class:`~repro.exec.store.DiskStore` (``store=`` here, or the
-        constructor's), worker processes claim them under renewable leases
-        and fuse the stream passes for the cells each holds, and shared
-        stages are built exactly once fleet-wide behind a store-level
-        build gate.  Returns the
+        constructor's), and worker processes claim whole stream groups
+        under renewable leases, each run as one :meth:`_run_fused` call --
+        so the fleet makes the serial run's stream passes, and each shared
+        stage is built by its group's holder alone.  Returns the
         :class:`~repro.exec.distrib.DistributedOutcome` with per-worker
         ledgers and the aggregated ``build_counts`` proof; per-cell
         artifacts are bit-identical to a serial :meth:`run`.  Workers on

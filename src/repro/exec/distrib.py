@@ -1,45 +1,53 @@
-"""Distributed campaign execution: a lease-based cell work-queue over the store.
+"""Distributed campaign execution: a lease-based work-queue over the store.
 
-PR 5's :class:`~repro.exec.store.DiskStore` made concurrent writers *safe*
-(content-addressed, atomic first-write-wins publishes) but left them
-uncoordinated: nothing decided who works on what.  This module adds that
-coordination as a crash-safe work-queue living *inside* the store, so a
-fleet of worker processes -- on one host or many -- serves one campaign
-grid against one warm store with kill-anywhere, resume-anywhere semantics:
+:class:`~repro.exec.store.DiskStore` makes concurrent writers *safe*
+(content-addressed, atomic first-write-wins publishes) but does not decide
+who works on what.  This module adds that coordination as a crash-safe
+work-queue living *inside* the store, so a fleet of worker processes -- on
+one host or many -- serves one campaign grid against one warm store with
+kill-anywhere, resume-anywhere semantics:
 
 * :class:`CellQueue` enumerates a campaign's
   :class:`~repro.exec.campaign.ScenarioCell`\\ s into
-  ``queue/<campaign-digest>/`` under the store root.  Workers claim cells
-  by publishing *lease directories* with the same stage-then-rename
-  first-write-wins idiom the store's object publishes use; leases carry an
-  owner, a TTL and an attempt number, are renewed by heartbeat
-  (:class:`LeaseKeeper`), and expire when their owner dies -- any worker
-  may then *reclaim* the cell (the dead lease is renamed into a tombstone,
-  which is the attempt accounting) until the ``max_attempts`` poison guard
-  retires a cell that keeps killing its workers.
-* :class:`LeasedStore` wraps a :class:`~repro.exec.store.DiskStore` with a
-  build *gate*: a cache miss first acquires a lease on the entry's digest
-  (``locks/<digest>``), and losers of that race wait for the winner's
-  publish instead of duplicating the build -- which is what turns the
-  store's "concurrent builds are merely safe" into the fleet-wide
-  exactly-once property the ledgers prove.
+  ``queue/<campaign-digest>/`` under the store root and leases them by
+  *stream group*: the cells of one scenario configuration, which is the
+  campaign's stream identity (the project subset is campaign-wide).  A
+  worker claims a whole group by publishing a *lease directory* with the
+  same stage-then-rename first-write-wins idiom the store's object
+  publishes use; leases carry an owner, a TTL and an attempt number, are
+  renewed by heartbeat (:class:`LeaseKeeper`), and expire when their owner
+  dies -- any worker may then *reclaim* the group's unfinished cells (the
+  dead lease is renamed into a tombstone, which is the attempt accounting)
+  until the ``max_attempts`` poison guard retires a group that keeps
+  killing its workers.
+* :func:`run_worker` is one worker's loop -- claim a group, run its cells
+  through one fused stream pass (two when it holds inferred-dictionary
+  cells, exactly as the serial scheduler does), publish per-cell ``done``
+  records with observation digests, repeat until the queue drains.  It
+  honours a stop event (the ``repro worker`` entry point wires
+  SIGTERM/SIGINT to it) by finishing the group in hand, or by explicitly
+  *releasing* a group it has not started, instead of letting it rot until
+  TTL expiry.
 * :class:`WorkerLedger` records, per worker, the cells it completed and
   its campaign ``build_counts``; :func:`aggregate_build_counts` sums them
   across the fleet, so "every grid-invariant stage built exactly once" is
   a counter assertion, not a wall-time claim.
-* :func:`run_worker` is one worker's loop -- claim a batch, fuse the
-  stream passes for the cell groups it holds (PR 4's stream-identity
-  scheduler, per claim batch), publish per-cell ``done`` records with
-  observation digests, repeat until the queue drains.  It honours a stop
-  event (the ``repro worker`` entry point wires SIGTERM/SIGINT to it) by
-  finishing the cell in hand and explicitly *releasing* unstarted claims
-  instead of letting them rot until TTL expiry.
 * :func:`run_distributed` forks N such workers for one
   :class:`~repro.exec.campaign.StudyCampaign`
   (``StudyCampaign.run_distributed`` / ``repro sweep
   --workers-distributed``); plain ``repro worker --store DIR`` invocations
   on other hosts join the same queue, because every coordination artifact
   is just files under the shared store.
+
+Why groups make builds exactly-once: every shared stage (``dictionary``,
+``usage_stats``, ``inferred_dictionary``, ``effective_dictionary``) has a
+cache identity that contains the scenario identity, so within one queue
+only the group's holder ever builds it, and the fleet makes as many stream
+passes and dataset builds as a serial run.  That holds per queue.  A
+different grid run on the same store, or a holder that stalls past its TTL
+while a reclaimer redoes its group, can still build a stage twice; both
+are safe, because the store's first write wins and equal identities carry
+equal content.
 
 Everything here is plain POSIX filesystem atomicity -- ``mkdir`` +
 ``rename`` for first-write-wins, ``os.link`` for exclusive file publishes,
@@ -63,7 +71,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.exec.identity import digest, fingerprint
-from repro.exec.store import ArtifactStore, DiskStore, dump_artifact
+from repro.exec.store import ArtifactStore, DiskStore, dump_artifact, reap_dead_staging
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.campaign import ScenarioCell, StudyCampaign
@@ -71,11 +79,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "DEFAULT_LEASE_TTL",
     "DEFAULT_MAX_ATTEMPTS",
-    "CellClaim",
     "CellQueue",
     "DistributedOutcome",
+    "GroupClaim",
     "LeaseKeeper",
-    "LeasedStore",
     "QueueStatus",
     "WorkerLedger",
     "aggregate_build_counts",
@@ -86,18 +93,13 @@ __all__ = [
     "run_worker",
 ]
 
-#: Default cell-lease TTL: a worker that misses this many seconds of
-#: heartbeats is presumed dead and its cell becomes reclaimable.
+#: Default group-lease TTL: a worker that misses this many seconds of
+#: heartbeats is presumed dead and its group becomes reclaimable.
 DEFAULT_LEASE_TTL = 30.0
 
-#: Attempts (original claim + reclaims) before a cell is poisoned: a cell
-#: that repeatedly outlives its workers stops wedging the fleet.
+#: Attempts (original claim + reclaims) before a group is poisoned: a
+#: group that repeatedly outlives its workers stops wedging the fleet.
 DEFAULT_MAX_ATTEMPTS = 3
-
-#: Build-gate leases outlive cell leases: a shared-stage build (a full
-#: stream pass) can legitimately run long, and a dead holder is detected
-#: by pid probe anyway, so the TTL is only the cross-host backstop.
-DEFAULT_LOCK_TTL = 120.0
 
 _HOSTNAME = socket.gethostname()
 
@@ -123,7 +125,7 @@ def observations_digest(observations: Sequence) -> str:
 
 
 # --------------------------------------------------------------------------- #
-# Filesystem primitives (shared by leases, locks and queue publishes)
+# Filesystem primitives (shared by leases and queue publishes)
 # --------------------------------------------------------------------------- #
 def _json_dump(payload: dict) -> bytes:
     return json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
@@ -172,7 +174,7 @@ def _lease_is_stale(payload: dict | None, now: float) -> bool:
 
 
 class _Workspace:
-    """Staging + atomic-publish helpers rooted at one queue/lock directory."""
+    """Staging + atomic-publish helpers rooted at one queue directory."""
 
     def __init__(self, root: Path) -> None:
         self.root = root
@@ -231,7 +233,7 @@ class _Workspace:
 
 @dataclass(eq=False)
 class _Lease:
-    """One held lease directory (a cell claim or a build lock).
+    """One held lease directory (a stream-group claim).
 
     ``fd`` is the lease *directory's* file descriptor, opened at acquire
     time: renames move the directory but not its inode, so the fd pins
@@ -322,10 +324,9 @@ def _acquire_lease(
 class LeaseKeeper(threading.Thread):
     """A daemon heartbeat renewing registered leases until stopped.
 
-    One keeper serves a whole worker: its claimed cell leases *and* the
-    build locks its :class:`LeasedStore` holds, so a worker deep inside a
-    long stream pass keeps everything it owns alive without any
-    cooperation from the pass itself.
+    One keeper serves a whole worker, so a worker deep inside a long
+    stream pass keeps its group lease alive without any cooperation from
+    the pass itself.
     """
 
     def __init__(self, interval: float) -> None:
@@ -359,140 +360,20 @@ class LeaseKeeper(threading.Thread):
 
 
 # --------------------------------------------------------------------------- #
-# The build gate: fleet-wide singleflight over shared-stage builds
-# --------------------------------------------------------------------------- #
-class LeasedStore:
-    """An :class:`ArtifactStore` adding a build gate to a ``DiskStore``.
-
-    ``lookup`` keeps the inner store's fast path; on a miss it tries to
-    acquire a lease on the entry's digest under ``<root>/locks/``.  The
-    winner gets the miss back (and builds, exactly as the context layer
-    always has); every loser *waits* -- polling the inner store -- until
-    the winner's ``store`` publishes the entry (which also releases the
-    lock).  A lock whose owner died is broken and re-raced, so a crashed
-    builder delays the fleet by at most its TTL (immediately, when the
-    corpse shares our host and its pid is probeable).
-
-    This is what upgrades the store's first-write-wins safety into the
-    exactly-once property the aggregated worker ledgers assert: under the
-    gate, each shared stage identity is *built* by one worker fleet-wide,
-    not merely published once.
-    """
-
-    def __init__(
-        self,
-        inner: DiskStore,
-        *,
-        owner: str | None = None,
-        lock_ttl: float = DEFAULT_LOCK_TTL,
-        poll_interval: float = 0.02,
-        wait_timeout: float | None = None,
-        keeper: LeaseKeeper | None = None,
-    ) -> None:
-        self.inner = inner
-        self.owner = owner or default_worker_id()
-        self.lock_ttl = lock_ttl
-        self.poll_interval = poll_interval
-        self.wait_timeout = wait_timeout
-        self.keeper = keeper
-        self._workspace = _Workspace(Path(inner.root) / "locks")
-        self._held: dict[str, _Lease] = {}
-
-    # ------------------------------------------------------------------ #
-    def _lock_path(self, entry_digest: str) -> Path:
-        return self._workspace.root / entry_digest
-
-    def _try_acquire(self, entry_digest: str) -> bool:
-        lease = _acquire_lease(
-            self._workspace,
-            self._lock_path(entry_digest),
-            owner=self.owner,
-            ttl=self.lock_ttl,
-        )
-        if lease is None:
-            return False
-        self._held[entry_digest] = lease
-        if self.keeper is not None:
-            self.keeper.add(lease)
-        return True
-
-    def _release(self, entry_digest: str) -> None:
-        lease = self._held.pop(entry_digest, None)
-        if lease is None:
-            return
-        if self.keeper is not None:
-            self.keeper.remove(lease)
-        lease.release()
-
-    def release_all(self) -> None:
-        """Drop every held build lock (worker shutdown / failure path)."""
-        for entry_digest in tuple(self._held):
-            self._release(entry_digest)
-
-    # ------------------------------------------------------------------ #
-    def lookup(self, key: tuple) -> dict[str, object] | None:
-        found = self.inner.lookup(key)
-        if found is not None:
-            return found
-        entry_digest = DiskStore.key_digest(key)
-        if entry_digest in self._held:
-            # Re-probed while we hold the build right (the scheduler's
-            # stats_ready() double-checks): still ours to build.
-            return None
-        deadline = (
-            None if self.wait_timeout is None else time.time() + self.wait_timeout
-        )
-        while True:
-            if self._try_acquire(entry_digest):
-                # Won the race -- but the previous holder may have published
-                # between our miss and our acquire; serve that instead of
-                # rebuilding.
-                found = self.inner.lookup(key)
-                if found is not None:
-                    self._release(entry_digest)
-                return found
-            found = self.inner.lookup(key)
-            if found is not None:
-                return found
-            payload = _read_json(self._lock_path(entry_digest) / "lease.json")
-            if payload is not None and _lease_is_stale(payload, time.time()):
-                # Crashed builder: break the lock and re-race the acquire.
-                self._workspace.retire_dir(
-                    self._lock_path(entry_digest), tag="broken"
-                )
-                continue
-            if deadline is not None and time.time() > deadline:
-                raise TimeoutError(
-                    f"gave up waiting {self.wait_timeout:.1f}s for another "
-                    f"worker's build of {key[0] if key else '?'}/{entry_digest}"
-                )
-            time.sleep(self.poll_interval)
-
-    def store(self, key: tuple, produced: dict[str, object]) -> None:
-        try:
-            self.inner.store(key, produced)
-        finally:
-            self._release(DiskStore.key_digest(key))
-
-    def __len__(self) -> int:
-        return len(self.inner)
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (
-            f"LeasedStore({self.inner!r}, owner={self.owner!r}, "
-            f"held={len(self._held)})"
-        )
-
-
-# --------------------------------------------------------------------------- #
 # The cell queue
 # --------------------------------------------------------------------------- #
 @dataclass
-class CellClaim:
-    """One successfully claimed cell: the grid point plus its live lease."""
+class GroupClaim:
+    """One claimed stream group: its unfinished cells plus the live lease.
 
-    cell: "ScenarioCell"
-    cell_id: str
+    ``cells`` holds ``(cell id, cell)`` pairs in matrix order -- only the
+    group's cells without a done record when the lease was won, so a
+    reclaimer finishes what a dead holder left, never redoes what it
+    published.
+    """
+
+    group_id: str
+    cells: tuple[tuple[str, "ScenarioCell"], ...]
     attempt: int
     lease: _Lease
 
@@ -592,7 +473,7 @@ def aggregate_build_counts(ledgers: Iterable[dict]) -> Counter:
 
 
 class CellQueue:
-    """The durable cell work-queue for one campaign grid.
+    """The durable work-queue for one campaign grid, leased by stream group.
 
     Lives entirely under ``<store root>/queue/<campaign digest>/``, where
     the campaign digest is the durable
@@ -601,17 +482,23 @@ class CellQueue:
     lets plain ``repro worker`` invocations on several hosts cooperate
     with zero further configuration.
 
+    The unit of work is the *stream group*: the cells that share one
+    scenario configuration, so one fused pass serves them all
+    (:meth:`~repro.exec.campaign.StudyCampaign._run_fused`).  Records stay
+    per cell; leases, tombstones and poison are per group.
+
     Layout (every transition is an atomic rename/link; nothing is ever
     half-visible):
 
-    * ``cells/<id>.json`` -- the enumerated grid (axes + label), published
-      first-write-wins by whichever worker arrives first;
-    * ``leases/<id>/lease.json`` -- the live claim (owner, TTL, attempt);
-    * ``tombstones/<id>.<nonce>/`` -- expired leases, renamed aside by the
-      reclaimer; their count per cell *is* the attempt history;
-    * ``done/<id>.json`` -- the completion record (worker attribution,
+    * ``cells/<cell>.json`` -- the enumerated grid (axes + label),
+      published first-write-wins by whichever worker arrives first;
+    * ``leases/<group>/lease.json`` -- the live claim (owner, TTL, attempt);
+    * ``tombstones/<group>.<nonce>/`` -- expired leases, renamed aside by
+      the reclaimer; their count per group *is* the attempt history;
+    * ``done/<cell>.json`` -- the completion record (worker attribution,
       observation digest, engine counters), first write wins;
-    * ``poison/<id>.json`` -- cells retired by the ``max_attempts`` guard;
+    * ``poison/<group>.json`` -- groups retired by the ``max_attempts``
+      guard;
     * ``workers/<worker>.json`` -- per-worker ledgers (owner-only writes).
     """
 
@@ -638,6 +525,17 @@ class CellQueue:
         self.root = Path(root) / "queue" / self.campaign_digest
         self._workspace = _Workspace(self.root)
         self._by_id = tuple((self.cell_id(cell), cell) for cell in self.cells)
+        members: dict[str, list[tuple[str, "ScenarioCell"]]] = {}
+        for cell_id, cell in self._by_id:
+            members.setdefault(digest(fingerprint(cell.config)), []).append(
+                (cell_id, cell)
+            )
+        #: ``(group id, ((cell id, cell), ...))`` in matrix order of each
+        #: group's first cell.
+        self.groups = tuple(
+            (f"{group[0][1].index:03d}-{config_digest[:12]}", tuple(group))
+            for config_digest, group in members.items()
+        )
 
     @staticmethod
     def cell_id(cell: "ScenarioCell") -> str:
@@ -648,17 +546,22 @@ class CellQueue:
     def _cell_path(self, cell_id: str) -> Path:
         return self.root / "cells" / f"{cell_id}.json"
 
-    def _lease_path(self, cell_id: str) -> Path:
-        return self.root / "leases" / cell_id
+    def _lease_path(self, group_id: str) -> Path:
+        return self.root / "leases" / group_id
 
     def _done_path(self, cell_id: str) -> Path:
         return self.root / "done" / f"{cell_id}.json"
 
-    def _poison_path(self, cell_id: str) -> Path:
-        return self.root / "poison" / f"{cell_id}.json"
+    def _poison_path(self, group_id: str) -> Path:
+        return self.root / "poison" / f"{group_id}.json"
 
     def _ledger_path(self, worker: str) -> Path:
         return self.root / "workers" / f"{worker}.json"
+
+    def _unfinished(self, members) -> tuple[tuple[str, "ScenarioCell"], ...]:
+        return tuple(
+            member for member in members if not self._done_path(member[0]).exists()
+        )
 
     # -- population ---------------------------------------------------- #
     def populate(self) -> int:
@@ -690,7 +593,7 @@ class CellQueue:
             self._workspace.publish_file(
                 self.root / "manifest.json",
                 {
-                    "format": 1,
+                    "format": 2,
                     "campaign": self.campaign_digest,
                     "cells": len(self.cells),
                     "lease_ttl": self.lease_ttl,
@@ -703,33 +606,33 @@ class CellQueue:
         return (self.root / "manifest.json").exists()
 
     # -- attempt accounting -------------------------------------------- #
-    def attempts(self, cell_id: str) -> int:
-        """Abandoned attempts so far: the cell's tombstone count."""
+    def attempts(self, group_id: str) -> int:
+        """Abandoned attempts so far: the group's tombstone count."""
         tombstones = self.root / "tombstones"
         if not tombstones.is_dir():
             return 0
-        return sum(1 for _ in tombstones.glob(f"{cell_id}.*"))
+        return sum(1 for _ in tombstones.glob(f"{group_id}.*"))
 
-    def _entomb(self, cell_id: str) -> bool:
+    def _entomb(self, group_id: str) -> bool:
         """Rename a stale lease into a tombstone (one reclaimer wins)."""
         self._workspace._seq += 1
         tombstone = (
             self.root
             / "tombstones"
-            / f"{cell_id}.{os.getpid()}-{self._workspace._seq}"
+            / f"{group_id}.{os.getpid()}-{self._workspace._seq}"
         )
         tombstone.parent.mkdir(parents=True, exist_ok=True)
         try:
-            os.rename(self._lease_path(cell_id), tombstone)
+            os.rename(self._lease_path(group_id), tombstone)
         except OSError:
             return False
         return True
 
-    def _poison(self, cell_id: str, attempts: int) -> None:
+    def _poison(self, group_id: str, attempts: int) -> None:
         self._workspace.publish_file(
-            self._poison_path(cell_id),
+            self._poison_path(group_id),
             {
-                "cell": cell_id,
+                "group": group_id,
                 "attempts": attempts,
                 "max_attempts": self.max_attempts,
                 "poisoned_at": time.time(),
@@ -737,85 +640,82 @@ class CellQueue:
         )
 
     # -- claiming ------------------------------------------------------ #
-    def claim(self, worker: str) -> CellClaim | None:
-        """Claim the first available cell, or ``None`` when nothing is.
+    def claim(self, worker: str) -> GroupClaim | None:
+        """Claim the first available stream group, or ``None``.
 
-        Walks the grid in matrix order: terminal cells (done/poisoned) are
+        Walks the groups in matrix order: finished and poisoned groups are
         skipped, stale leases are reclaimed (tombstoned, bumping the
         attempt count -- or poisoned once ``max_attempts`` is spent), and
-        the first successful lease publish wins the cell.
+        the first successful lease publish wins the group's unfinished
+        cells.
         """
         now = time.time()
-        for cell_id, cell in self._by_id:
-            if self._done_path(cell_id).exists() or self._poison_path(cell_id).exists():
+        for group_id, members in self.groups:
+            if self._poison_path(group_id).exists() or not self._unfinished(members):
                 continue
-            lease_path = self._lease_path(cell_id)
-            attempts = self.attempts(cell_id)
+            lease_path = self._lease_path(group_id)
+            attempts = self.attempts(group_id)
             if lease_path.exists():
                 payload = _read_json(lease_path / "lease.json")
                 if not _lease_is_stale(payload, now):
                     continue
-                if not self._entomb(cell_id):
+                if not self._entomb(group_id):
                     continue  # lost the reclaim race; move on
                 attempts += 1
             if attempts >= self.max_attempts:
-                self._poison(cell_id, attempts)
+                self._poison(group_id, attempts)
                 continue
             lease = _acquire_lease(
                 self._workspace,
                 lease_path,
                 owner=worker,
                 ttl=self.lease_ttl,
-                extra={"cell": cell_id, "attempt": attempts + 1},
+                extra={"group": group_id, "attempt": attempts + 1},
             )
             if lease is None:
                 continue  # lost the claim race
-            return CellClaim(
-                cell=cell, cell_id=cell_id, attempt=attempts + 1, lease=lease
+            # A holder publishes its done records before it releases, so
+            # read under our lease, this set is final.
+            unfinished = self._unfinished(members)
+            if not unfinished:
+                lease.release()
+                continue
+            return GroupClaim(
+                group_id=group_id, cells=unfinished, attempt=attempts + 1, lease=lease
             )
         return None
 
-    def claim_batch(self, worker: str, limit: int = 1) -> list[CellClaim]:
-        """Up to ``limit`` claims in one sweep (fused as one cell group)."""
-        claims: list[CellClaim] = []
-        while len(claims) < limit:
-            claim = self.claim(worker)
-            if claim is None:
-                break
-            claims.append(claim)
-        return claims
-
     # -- lifecycle ----------------------------------------------------- #
-    def release(self, claim: CellClaim) -> bool:
-        """Give an unfinished cell back (graceful shutdown): no attempt cost."""
+    def release(self, claim: GroupClaim) -> bool:
+        """Drop the group's lease: after its cells are done, or unstarted
+        on a graceful stop (no attempt cost either way)."""
         return claim.lease.release()
 
-    def complete(self, claim: CellClaim, summary: dict) -> bool:
-        """Publish the cell's done record and drop the lease.
+    def complete(self, claim: GroupClaim, cell_id: str, summary: dict) -> bool:
+        """Publish one cell's done record; the lease stays held.
 
         First write wins: if a reclaimer finished the cell while this
         worker stalled past its TTL, the stall's record is discarded and
         ``False`` comes back (the observation parity makes either record
         equally true; the attribution belongs to the publish winner).
         """
-        won = self._workspace.publish_file(
-            self._done_path(claim.cell_id),
+        return self._workspace.publish_file(
+            self._done_path(cell_id),
             {
-                "cell": claim.cell_id,
+                "cell": cell_id,
+                "group": claim.group_id,
                 "worker": claim.worker,
                 "attempt": claim.attempt,
                 "finished_at": time.time(),
                 **summary,
             },
         )
-        claim.lease.release()
-        return won
 
     def drained(self) -> bool:
-        """Whether every cell reached a terminal state (done or poisoned)."""
+        """Whether every cell is done or its group poisoned."""
         return all(
-            self._done_path(cell_id).exists() or self._poison_path(cell_id).exists()
-            for cell_id, _ in self._by_id
+            self._poison_path(group_id).exists() or not self._unfinished(members)
+            for group_id, members in self.groups
         )
 
     # -- ledgers ------------------------------------------------------- #
@@ -852,40 +752,42 @@ class CellQueue:
         now = time.time()
         done = self.done_records()
         entries = []
-        for cell_id, cell in self._by_id:
-            entry = {
-                "cell": cell_id,
-                "index": cell.index,
-                "label": cell.label,
-                "seed": cell.seed,
-                "scale": cell.scale,
-                "ablation": cell.ablation.name,
-                "state": "pending",
-                "worker": None,
-                "attempt": None,
-            }
-            record = done.get(cell_id)
-            if record is not None:
-                entry.update(
-                    state="done",
-                    worker=record.get("worker"),
-                    attempt=record.get("attempt"),
-                    observations=record.get("observations"),
-                )
-            elif self._poison_path(cell_id).exists():
-                poison = _read_json(self._poison_path(cell_id)) or {}
-                entry.update(state="poisoned", attempt=poison.get("attempts"))
-            else:
-                payload = _read_json(self._lease_path(cell_id) / "lease.json")
-                if payload is not None and not _lease_is_stale(payload, now):
+        for group_id, members in self.groups:
+            poison = _read_json(self._poison_path(group_id))
+            lease = _read_json(self._lease_path(group_id) / "lease.json")
+            if lease is not None and _lease_is_stale(lease, now):
+                lease = None
+            attempts = self.attempts(group_id)
+            for cell_id, cell in members:
+                entry = {
+                    "cell": cell_id,
+                    "group": group_id,
+                    "index": cell.index,
+                    "label": cell.label,
+                    "seed": cell.seed,
+                    "scale": cell.scale,
+                    "ablation": cell.ablation.name,
+                    "state": "pending",
+                    "worker": None,
+                    "attempt": attempts or None,
+                }
+                record = done.get(cell_id)
+                if record is not None:
+                    entry.update(
+                        state="done",
+                        worker=record.get("worker"),
+                        attempt=record.get("attempt"),
+                        observations=record.get("observations"),
+                    )
+                elif poison is not None:
+                    entry.update(state="poisoned", attempt=poison.get("attempts"))
+                elif lease is not None:
                     entry.update(
                         state="leased",
-                        worker=payload.get("owner"),
-                        attempt=payload.get("attempt"),
+                        worker=lease.get("owner"),
+                        attempt=lease.get("attempt"),
                     )
-                elif self.attempts(cell_id):
-                    entry["attempt"] = self.attempts(cell_id)
-            entries.append(entry)
+                entries.append(entry)
         return QueueStatus(
             campaign=self.campaign_digest,
             cells=tuple(entries),
@@ -893,7 +795,10 @@ class CellQueue:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"CellQueue({self.campaign_digest!r}, cells={len(self.cells)})"
+        return (
+            f"CellQueue({self.campaign_digest!r}, cells={len(self.cells)}, "
+            f"groups={len(self.groups)})"
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -905,77 +810,41 @@ def reap_stale_queue_state(root: str | os.PathLike) -> int:
     Extends the store's stale-*staging* sweep to the queue subsystem, so a
     SIGKILLed fleet never leaves a wedged queue behind:
 
-    * queue/lock ``tmp/`` staging owned by verifiably dead pids is removed
-      (exactly the object-staging rule);
-    * expired **build locks** are deleted outright -- they carry no
-      accounting, and a waiter would only rediscover the expiry later;
-    * expired **cell leases** are *tombstoned*, not deleted: the rename
+    * queue ``tmp/`` staging owned by verifiably dead pids is removed
+      (:func:`~repro.exec.store.reap_dead_staging`, the object-staging
+      rule);
+    * expired group leases are *tombstoned*, not deleted: the rename
       preserves the attempt history the poison guard counts.
 
     Live or ambiguous state is always left alone.  Returns the number of
     entries reaped.
     """
-    root = Path(root)
+    queues = Path(root) / "queue"
+    if not queues.is_dir():
+        return 0
     now = time.time()
     reaped = 0
-
-    def _reap_tmp(tmp: Path) -> int:
-        count = 0
-        if not tmp.is_dir():
-            return 0
-        for staging in tmp.iterdir():
+    for queue_dir in queues.iterdir():
+        if not queue_dir.is_dir():
+            continue
+        reaped += reap_dead_staging(queue_dir / "tmp")
+        leases = queue_dir / "leases"
+        if not leases.is_dir():
+            continue
+        for lease_dir in leases.iterdir():
+            if not lease_dir.is_dir():
+                continue
+            if not _lease_is_stale(_read_json(lease_dir / "lease.json"), now):
+                continue
+            tombstone = (
+                queue_dir / "tombstones" / f"{lease_dir.name}.{os.getpid()}.reap"
+            )
+            tombstone.parent.mkdir(parents=True, exist_ok=True)
             try:
-                pid = int(staging.name.split(".")[-2])
-                os.kill(pid, 0)
-            except ProcessLookupError:
-                if staging.is_dir():
-                    shutil.rmtree(staging, ignore_errors=True)
-                else:
-                    staging.unlink(missing_ok=True)
-                count += 1
-            except (IndexError, ValueError, OSError):
+                os.rename(lease_dir, tombstone)
+            except OSError:
                 continue
-        return count
-
-    locks = root / "locks"
-    if locks.is_dir():
-        reaped += _reap_tmp(locks / "tmp")
-        for lock in locks.iterdir():
-            if lock.name == "tmp" or not lock.is_dir():
-                continue
-            if _lease_is_stale(_read_json(lock / "lease.json"), now):
-                parked = locks / "tmp" / f"{lock.name}.{os.getpid()}.reap"
-                parked.parent.mkdir(parents=True, exist_ok=True)
-                try:
-                    os.rename(lock, parked)
-                except OSError:
-                    continue
-                shutil.rmtree(parked, ignore_errors=True)
-                reaped += 1
-
-    queues = root / "queue"
-    if queues.is_dir():
-        for queue_dir in queues.iterdir():
-            if not queue_dir.is_dir():
-                continue
-            reaped += _reap_tmp(queue_dir / "tmp")
-            leases = queue_dir / "leases"
-            if not leases.is_dir():
-                continue
-            for lease_dir in leases.iterdir():
-                if not lease_dir.is_dir():
-                    continue
-                if not _lease_is_stale(_read_json(lease_dir / "lease.json"), now):
-                    continue
-                tombstone = (
-                    queue_dir / "tombstones" / f"{lease_dir.name}.{os.getpid()}.reap"
-                )
-                tombstone.parent.mkdir(parents=True, exist_ok=True)
-                try:
-                    os.rename(lease_dir, tombstone)
-                except OSError:
-                    continue
-                reaped += 1
+            reaped += 1
     return reaped
 
 
@@ -1011,37 +880,37 @@ def run_worker(
     worker_id: str | None = None,
     lease_ttl: float = DEFAULT_LEASE_TTL,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    claim_batch: int = 1,
     poll_interval: float = 0.05,
     max_cells: int | None = None,
     stop_event: threading.Event | None = None,
-    on_claim: Callable[[CellClaim], None] | None = None,
-    on_cell_done: Callable[[CellClaim, dict], None] | None = None,
+    on_claim: Callable[[GroupClaim], None] | None = None,
+    on_cell_done: Callable[[GroupClaim, dict], None] | None = None,
     status_out: Callable[[str], None] | None = None,
 ) -> WorkerLedger:
     """One worker process's whole life against a shared campaign queue.
 
     Joins (populating if first) the queue for ``campaign``'s grid under
     ``store_root`` (default: the root of the campaign's own
-    :class:`~repro.exec.store.DiskStore`), then loops: claim up to
-    ``claim_batch`` cells, fuse one multi-engine stream pass per
-    stream-identity group among them (PR 4's scheduler, via the campaign),
-    publish each cell's done record, and persist the ledger.  Exits when
-    the queue drains, ``max_cells`` is reached, or ``stop_event`` is set
-    -- in the last case the cell in hand is finished and every *unstarted*
-    claim is explicitly released (no TTL wait for the rest of the fleet).
+    :class:`~repro.exec.store.DiskStore`), then loops: claim one stream
+    group, run its cells through
+    :meth:`~repro.exec.campaign.StudyCampaign._run_fused` (the serial
+    scheduler's fused pass), publish each cell's done record, persist the
+    ledger and release the group.  Exits when the queue drains, once
+    ``max_cells`` cells are done (the group in hand is always finished),
+    or when ``stop_event`` is set -- a group claimed but not yet started
+    is then explicitly released (no TTL wait for the rest of the fleet).
 
-    All shared-stage resolution goes through a :class:`LeasedStore` gate,
-    so however many workers run, each grid-invariant stage is built once
-    fleet-wide; a :class:`LeaseKeeper` heartbeat renews the worker's cell
-    leases and build locks for as long as it is actually alive.
+    Shared stages resolve through a plain
+    :class:`~repro.exec.store.DiskStore`: their identities contain the
+    scenario identity, so only the group's holder builds them.  A
+    :class:`LeaseKeeper` heartbeat renews the group lease for as long as
+    the worker is actually alive.
 
     Returns this worker's :class:`WorkerLedger` (also durable in the
     queue's ``workers/`` directory).
     """
     from repro.analysis.pipeline import StudyResult
     from repro.exec.campaign import StudyCampaign
-    from repro.exec.stages import stream_identity
 
     stop_event = stop_event or threading.Event()
     say = status_out or (lambda line: None)
@@ -1064,27 +933,20 @@ def run_worker(
     queue.populate()
     keeper = LeaseKeeper(interval=max(lease_ttl / 4.0, 0.05))
     keeper.start()
-    gate = LeasedStore(
-        DiskStore(store_root, resume=True),
-        owner=worker_id,
-        lock_ttl=max(lease_ttl * 4.0, DEFAULT_LOCK_TTL),
-        keeper=keeper,
-    )
-    # A private campaign over the same grid, backed by the gated store.
-    # Contexts (and datasets) materialise lazily per *claimed* cell, so an
-    # idle worker waiting on a fully leased queue simulates nothing.
+    # A private campaign over the same grid, backed by the shared store.
+    # Contexts (and datasets) materialise per *claimed* group, so an idle
+    # worker waiting on a fully leased queue simulates nothing.
     mine = StudyCampaign(
         campaign.matrix,
         plan=campaign.plan,
         projects=campaign.projects,
         stages=campaign._stages,
         dataset_factory=campaign._dataset_factory,
-        store=gate,
+        store=DiskStore(store_root, resume=True),
     )
     # Datasets the caller already simulated carry over (copy-on-write under
     # fork): a pre-warmed parent saves every worker the simulation cost.
     mine._datasets.update(campaign._datasets)
-    results: dict[str, StudyResult] = {}
     ledger = WorkerLedger(worker=worker_id, started_at=time.time())
     queue.write_ledger(ledger)
     say(f"worker {worker_id} joined queue {queue.campaign_digest}")
@@ -1092,65 +954,44 @@ def run_worker(
         while not stop_event.is_set():
             if max_cells is not None and len(ledger.cells) >= max_cells:
                 break
-            claims = queue.claim_batch(worker_id, limit=claim_batch)
-            if not claims:
+            claim = queue.claim(worker_id)
+            if claim is None:
                 if queue.drained():
                     break
                 time.sleep(poll_interval)
                 continue
-            for claim in claims:
-                keeper.add(claim.lease)
-                if on_claim is not None:
-                    on_claim(claim)
-            # Group this batch's cells by stream identity and run one fused
-            # multi-engine pass per group (exactly the serial scheduler,
-            # restricted to the cells this worker holds).
-            groups: dict[tuple, list[CellClaim]] = {}
-            for claim in claims:
-                result = results.get(claim.cell_id)
-                if result is None:
-                    result = results[claim.cell_id] = StudyResult(
-                        mine.context_for(claim.cell)
-                    )
-                groups.setdefault(
-                    stream_identity(result.context), []
-                ).append(claim)
-            released = 0
-            for group in groups.values():
-                if stop_event.is_set():
-                    for claim in group:
-                        keeper.remove(claim.lease)
-                        queue.release(claim)
-                        released += 1
-                    continue
-                mine._run_fused(
-                    [results[claim.cell_id].context for claim in group]
+            keeper.add(claim.lease)
+            if on_claim is not None:
+                on_claim(claim)
+            if stop_event.is_set():
+                keeper.remove(claim.lease)
+                queue.release(claim)
+                say(f"worker {worker_id} released group {claim.group_id} on stop")
+                break
+            results = [StudyResult(mine.context_for(cell)) for _, cell in claim.cells]
+            mine._run_fused([result.context for result in results])
+            for (cell_id, cell), result in zip(claim.cells, results):
+                summary = _cell_summary(cell, result)
+                won = queue.complete(claim, cell_id, summary)
+                ledger.cells.append(
+                    {
+                        "cell": cell_id,
+                        "label": cell.label,
+                        "attempt": claim.attempt,
+                        "recorded": won,
+                    }
                 )
-                for claim in group:
-                    result = results[claim.cell_id]
-                    summary = _cell_summary(claim.cell, result)
-                    keeper.remove(claim.lease)
-                    won = queue.complete(claim, summary)
-                    ledger.cells.append(
-                        {
-                            "cell": claim.cell_id,
-                            "label": claim.cell.label,
-                            "attempt": claim.attempt,
-                            "recorded": won,
-                        }
-                    )
-                    ledger.build_counts = dict(mine.cache.build_counts)
-                    queue.write_ledger(ledger)
-                    say(
-                        f"worker {worker_id} completed {claim.cell.label} "
-                        f"(attempt {claim.attempt})"
-                    )
-                    if on_cell_done is not None:
-                        on_cell_done(claim, summary)
-            if released:
-                say(f"worker {worker_id} released {released} claim(s) on stop")
+                say(
+                    f"worker {worker_id} completed {cell.label} "
+                    f"(attempt {claim.attempt})"
+                )
+                if on_cell_done is not None:
+                    on_cell_done(claim, summary)
+            keeper.remove(claim.lease)
+            queue.release(claim)
+            ledger.build_counts = dict(mine.cache.build_counts)
+            queue.write_ledger(ledger)
     finally:
-        gate.release_all()
         keeper.stop()
         ledger.build_counts = dict(mine.cache.build_counts)
         queue.write_ledger(ledger)
@@ -1207,7 +1048,6 @@ def run_distributed(
     store: "ArtifactStore | None" = None,
     lease_ttl: float = DEFAULT_LEASE_TTL,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    claim_batch: int = 1,
     poll_interval: float = 0.05,
     join_timeout: float | None = None,
     status_out: Callable[[str], None] | None = None,
@@ -1219,10 +1059,11 @@ def run_distributed(
     the campaign's dataset factory and plan transfer by inheritance, and
     an already-simulated parent dataset is shared copy-on-write instead of
     being re-simulated per worker).  Additional workers on other hosts may
-    join the same queue concurrently via ``repro worker``.
+    join the same queue concurrently via ``repro worker``.  A grid with
+    fewer stream groups than ``workers`` leaves the surplus workers idle.
 
     Returns a :class:`DistributedOutcome`; completion is *not* raised on
-    -- a poisoned cell or a failed worker shows up in ``status`` /
+    -- a poisoned group or a failed worker shows up in ``status`` /
     ``worker_exits`` for the caller to judge.
     """
     import multiprocessing
@@ -1250,7 +1091,6 @@ def run_distributed(
             worker_id=f"w{index}-{default_worker_id()}",
             lease_ttl=lease_ttl,
             max_attempts=max_attempts,
-            claim_batch=claim_batch,
             poll_interval=poll_interval,
         )
 

@@ -66,6 +66,7 @@ __all__ = [
     "Serializer",
     "dump_artifact",
     "load_artifact",
+    "reap_dead_staging",
     "serializer_for",
 ]
 
@@ -367,6 +368,34 @@ class MemoryStore:
         return f"MemoryStore(entries={len(self._entries)})"
 
 
+def reap_dead_staging(tmp: Path) -> int:
+    """Remove the entries under a staging directory whose writer is gone.
+
+    Staging names embed the writer's pid (``<name>.<pid>.<seq>``); an entry
+    whose writer is verifiably gone is residue of an interrupted publish
+    and can never be renamed into place anymore.  Anything ambiguous
+    (unparseable name, live or unverifiable pid) is left alone -- a
+    concurrent writer may still be mid-publish.  Returns the number of
+    entries removed.
+    """
+    if not tmp.is_dir():
+        return 0
+    reaped = 0
+    for staging in tmp.iterdir():
+        try:
+            pid = int(staging.name.split(".")[-2])
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            if staging.is_dir():
+                shutil.rmtree(staging, ignore_errors=True)
+            else:
+                staging.unlink(missing_ok=True)
+            reaped += 1
+        except (IndexError, ValueError, OSError):
+            continue
+    return reaped
+
+
 class DiskStore:
     """Content-addressed on-disk artifact store with an LRU read cache.
 
@@ -425,29 +454,14 @@ class DiskStore:
     def _clean_staging(self) -> None:
         """Drop stale residue abandoned by killed writers and fleets.
 
-        Staging names embed the writer's pid (``<digest>.<pid>.<seq>``); a
-        dir whose writer is verifiably gone is residue of an interrupted
-        publish and can never be renamed into place anymore.  Anything
-        ambiguous (unparseable name, live or unverifiable pid) is left
-        alone -- a concurrent writer may still be mid-publish.
-
-        The same sweep extends to the distributed coordination state the
-        work-queue subsystem (:mod:`repro.exec.distrib`) keeps under this
-        root: expired cell leases are tombstoned (preserving attempt
-        accounting) and expired build locks removed, so a crashed fleet
-        never leaves a wedged queue behind for the next process to trip
-        over.
+        Object staging goes through :func:`reap_dead_staging`.  The same
+        sweep extends to the work-queue state :mod:`repro.exec.distrib`
+        keeps under this root: expired group leases are tombstoned
+        (preserving attempt accounting), so a crashed fleet never leaves a
+        wedged queue behind for the next process to trip over.
         """
-        if self._tmp.is_dir():
-            for staging in self._tmp.iterdir():
-                try:
-                    pid = int(staging.name.split(".")[-2])
-                    os.kill(pid, 0)
-                except ProcessLookupError:
-                    shutil.rmtree(staging, ignore_errors=True)
-                except (IndexError, ValueError, OSError):
-                    continue
-        if (self.root / "queue").is_dir() or (self.root / "locks").is_dir():
+        reap_dead_staging(self._tmp)
+        if (self.root / "queue").is_dir():
             # Imported lazily: distrib builds on this module.
             from repro.exec.distrib import reap_stale_queue_state
 

@@ -2,26 +2,30 @@
 
 Covers the acceptance properties of the distributed campaign layer:
 
+* grouping -- the queue leases stream groups (the cells of one scenario
+  configuration), and its groups are exactly the stream-identity groups
+  the serial scheduler fuses;
 * the lease state machine -- claim, renew, explicit release, TTL expiry,
-  reclaim with attempt accounting, and the max-attempts poison guard, each
+  reclaim with attempt accounting (a reclaimer takes only the cells a dead
+  holder left unfinished), and the max-attempts poison guard, each
   transition atomic and race-losing rather than double-winning;
-* the :class:`LeasedStore` build gate -- concurrent cache misses on one
-  shared-stage identity produce exactly one build (losers wait for the
-  winner's publish), and locks held by dead processes are broken;
 * worker parity -- a queue-driven worker grid is bit-identical to a serial
   :meth:`StudyCampaign.run` (observation digests), with the aggregated
   worker ledgers proving every grid-invariant stage built exactly once
-  fleet-wide, including after a worker is SIGKILLed mid-cell and a
-  survivor reclaims its lease;
-* graceful shutdown -- a stopping worker finishes the cell in hand and
-  explicitly releases unstarted claims (no attempt cost, no TTL wait);
+  fleet-wide and no more stream passes or dataset builds than the serial
+  run, including after a worker is SIGKILLed mid-group and a survivor
+  reclaims its lease;
+* graceful shutdown -- a stopping worker finishes the group in hand and
+  explicitly releases a group it has not started (no attempt cost, no TTL
+  wait);
 * the store's init sweep -- :class:`DiskStore` construction reaps stale
-  queue/lock residue a crashed fleet left behind, preserving attempt
-  accounting (leases tombstone; locks just vanish).
+  queue residue a crashed fleet left behind, preserving attempt accounting
+  (expired leases tombstone).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -44,7 +48,6 @@ from repro.exec.campaign import (
 )
 from repro.exec.distrib import (
     CellQueue,
-    LeasedStore,
     aggregate_build_counts,
     observations_digest,
     reap_stale_queue_state,
@@ -63,10 +66,31 @@ def _paper_matrix(dataset):
     )
 
 
+def _two_seed_matrix(dataset):
+    """Two stream groups of a documented and an inferred-dictionary cell."""
+    return ScenarioMatrix(
+        dataset.config, seeds=(23, 24), ablations=(BASELINE, INFERRED_DICTIONARY)
+    )
+
+
 def _campaign(dataset, matrix=None, **kwargs):
     return StudyCampaign(
         matrix if matrix is not None else _paper_matrix(dataset),
         dataset_factory=lambda config: dataset,
+        **kwargs,
+    )
+
+
+def _relabelled_campaign(dataset, matrix, **kwargs):
+    """A campaign whose factory re-labels one dataset per configuration.
+
+    Stream identity keys on ``dataset.config``, so each seed forms its own
+    stream group; actually simulating a second scenario would buy these
+    tests nothing.
+    """
+    return StudyCampaign(
+        matrix,
+        dataset_factory=lambda config: dataclasses.replace(dataset, config=config),
         **kwargs,
     )
 
@@ -90,7 +114,7 @@ def serial_digests(small_dataset):
 
 
 # --------------------------------------------------------------------------- #
-# The lease state machine
+# Stream groups and the lease state machine
 # --------------------------------------------------------------------------- #
 class TestCellQueue:
     @pytest.fixture()
@@ -104,18 +128,37 @@ class TestCellQueue:
         # A second worker arriving later publishes nothing new.
         assert CellQueue(tmp_path, cells).populate() == 0
 
-    def test_claims_walk_the_grid_in_matrix_order(self, tmp_path, cells):
+    def test_queue_groups_match_the_serial_schedule(self, tmp_path, small_dataset):
+        matrix = _two_seed_matrix(small_dataset)
+        campaign = _relabelled_campaign(small_dataset, matrix)
+        scheduled = []
+        campaign._run_fused = lambda contexts: scheduled.append(contexts)
+        results = campaign.results()
+        campaign._schedule(results, None)
+        label_of = {id(result.context): cell.label for cell, result in results.items()}
+        serial = [[label_of[id(context)] for context in group] for group in scheduled]
+        queued = [
+            [cell.label for _, cell in members]
+            for _, members in CellQueue(tmp_path, matrix.cells()).groups
+        ]
+        assert queued == serial
+        assert len(queued) == 2
+
+    def test_claims_walk_the_grid_in_matrix_order(self, tmp_path, small_dataset):
+        cells = _two_seed_matrix(small_dataset).cells()
         queue = CellQueue(tmp_path, cells)
         queue.populate()
-        claimed = [queue.claim("w").cell.index for _ in cells]
+        first, second = queue.claim("w"), queue.claim("w")
+        claimed = [cell.index for claim in (first, second) for _, cell in claim.cells]
         assert claimed == [cell.index for cell in cells]
+        assert [cell.seed for _, cell in first.cells] == [23, 23]
         assert queue.claim("w") is None  # everything leased
 
     def test_live_lease_blocks_other_workers(self, tmp_path, cells):
-        queue = CellQueue(tmp_path, cells[:1])
+        queue = CellQueue(tmp_path, cells)
         queue.populate()
-        assert queue.claim("first") is not None
-        assert CellQueue(tmp_path, cells[:1]).claim("second") is None
+        assert len(queue.claim("first").cells) == len(cells)  # one group
+        assert CellQueue(tmp_path, cells).claim("second") is None
 
     def test_renew_extends_the_lease(self, tmp_path, cells):
         queue = CellQueue(tmp_path, cells[:1], lease_ttl=5.0)
@@ -130,13 +173,14 @@ class TestCellQueue:
         assert on_disk["expires_at"] == claim.lease.payload["expires_at"]
 
     def test_release_returns_the_cell_without_attempt_cost(self, tmp_path, cells):
-        queue = CellQueue(tmp_path, cells[:1])
+        queue = CellQueue(tmp_path, cells)
         queue.populate()
         claim = queue.claim("w")
         assert queue.release(claim)
-        assert queue.attempts(claim.cell_id) == 0
+        assert queue.attempts(claim.group_id) == 0
         again = queue.claim("w2")
         assert again is not None and again.attempt == 1
+        assert again.cells == claim.cells
 
     def test_expired_lease_is_reclaimed_with_attempt_bump(self, tmp_path, cells):
         queue = CellQueue(tmp_path, cells[:1], lease_ttl=0.05)
@@ -147,9 +191,20 @@ class TestCellQueue:
         second = queue.claim("reclaimer")
         assert second is not None
         assert second.attempt == 2
-        assert queue.attempts(second.cell_id) == 1  # one tombstone
+        assert queue.attempts(second.group_id) == 1  # one tombstone
         # Renewing the tombstoned lease fails instead of resurrecting it.
         assert not first.lease.renew()
+
+    def test_reclaim_takes_only_unfinished_cells(self, tmp_path, cells):
+        queue = CellQueue(tmp_path, cells, lease_ttl=0.05)
+        queue.populate()
+        dying = queue.claim("dying")
+        first_id = dying.cells[0][0]
+        assert queue.complete(dying, first_id, {"observations": 1})
+        time.sleep(0.1)  # the holder dies before finishing its group
+        reclaimed = queue.claim("reclaimer")
+        assert reclaimed.attempt == 2
+        assert reclaimed.cells == dying.cells[1:]
 
     def test_dead_owner_is_reclaimed_before_ttl_expiry(self, tmp_path, cells):
         queue = CellQueue(tmp_path, cells[:1], lease_ttl=600.0)
@@ -163,15 +218,16 @@ class TestCellQueue:
         assert reclaimed is not None and reclaimed.attempt == 2
 
     def test_poison_guard_retires_flapping_cells(self, tmp_path, cells):
-        queue = CellQueue(tmp_path, cells[:1], lease_ttl=0.05, max_attempts=2)
+        queue = CellQueue(tmp_path, cells, lease_ttl=0.05, max_attempts=2)
         queue.populate()
         for _ in range(queue.max_attempts):
             assert queue.claim("w") is not None
             time.sleep(0.1)
-        # Attempts are spent: the next sweep poisons instead of re-leasing.
+        # Attempts are spent: the next sweep poisons instead of re-leasing,
+        # retiring every cell of the group.
         assert queue.claim("w") is None
         status = queue.status()
-        assert status.counts["poisoned"] == 1
+        assert status.counts["poisoned"] == len(cells)
         assert status.drained  # poisoned counts as terminal
 
     def test_complete_publishes_done_first_write_wins(self, tmp_path, cells):
@@ -180,29 +236,30 @@ class TestCellQueue:
         stalled = queue.claim("stalled")
         time.sleep(0.1)
         reclaimer = queue.claim("reclaimer")
-        assert queue.complete(reclaimer, {"observations": 7})
+        ((cell_id, _),) = reclaimer.cells
+        assert queue.complete(reclaimer, cell_id, {"observations": 7})
+        assert queue.release(reclaimer)
         # The stalled worker finishing late loses the publish race benignly.
-        assert not queue.complete(stalled, {"observations": 7})
+        assert not queue.complete(stalled, cell_id, {"observations": 7})
         (record,) = queue.done_records().values()
         assert record["worker"] == "reclaimer"
         assert record["attempt"] == 2
         assert queue.claim("anyone") is None
         assert queue.drained()
 
-    def test_status_renders_attribution(self, tmp_path, cells):
+    def test_status_renders_attribution(self, tmp_path, small_dataset):
+        cells = _two_seed_matrix(small_dataset).cells()
         queue = CellQueue(tmp_path, cells)
         queue.populate()
         claim = queue.claim("render-test")
-        queue.complete(claim, {"observations": 3})
+        for cell_id, _ in claim.cells:
+            queue.complete(claim, cell_id, {"observations": 3})
+        queue.release(claim)
+        assert queue.claim("holder") is not None
         status = queue.status()
-        assert status.counts == {
-            "pending": len(cells) - 1,
-            "leased": 0,
-            "done": 1,
-            "poisoned": 0,
-        }
+        assert status.counts == {"pending": 0, "leased": 2, "done": 2, "poisoned": 0}
         text = status.render()
-        assert "render-test" in text
+        assert "render-test" in text and "holder" in text
         assert cells[0].label in text
 
     def test_queue_identity_is_content_addressed(self, tmp_path, cells, small_dataset):
@@ -216,70 +273,6 @@ class TestCellQueue:
 
 
 # --------------------------------------------------------------------------- #
-# The build gate
-# --------------------------------------------------------------------------- #
-class TestLeasedStore:
-    KEY = ("stage", "shared-identity")
-
-    def test_winner_builds_loser_waits_for_the_publish(self, tmp_path):
-        builds = []
-        results = {}
-
-        def worker(name: str, delay: float):
-            gate = LeasedStore(DiskStore(tmp_path), owner=name, poll_interval=0.01)
-            time.sleep(delay)
-            found = gate.lookup(self.KEY)
-            if found is None:
-                builds.append(name)
-                time.sleep(0.2)  # a slow build the loser must wait out
-                gate.store(self.KEY, {"value": {"built_by": name}})
-                found = {"value": {"built_by": name}}
-            results[name] = found
-
-        threads = [
-            threading.Thread(target=worker, args=("a", 0.0)),
-            threading.Thread(target=worker, args=("b", 0.05)),
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert builds == ["a"]  # exactly one build fleet-wide
-        assert results["b"]["value"]["built_by"] == "a"
-
-    def test_lock_of_dead_process_is_broken(self, tmp_path):
-        inner = DiskStore(tmp_path)
-        other = LeasedStore(DiskStore(tmp_path), owner="corpse")
-        assert other.lookup(self.KEY) is None  # acquires the lock...
-        lock = other._lock_path(DiskStore.key_digest(self.KEY)) / "lease.json"
-        payload = json.loads(lock.read_bytes())
-        payload["pid"] = _dead_pid()
-        lock.write_text(json.dumps(payload))
-        # ...which a live worker breaks immediately (no 2-minute TTL wait).
-        gate = LeasedStore(DiskStore(tmp_path), owner="live", poll_interval=0.01)
-        assert gate.lookup(self.KEY) is None
-        gate.store(self.KEY, {"value": 1})
-        assert inner.lookup(self.KEY) is not None
-
-    def test_holder_reprobe_stays_a_miss(self, tmp_path):
-        gate = LeasedStore(DiskStore(tmp_path), owner="w")
-        assert gate.lookup(self.KEY) is None
-        # The scheduler double-checks availability mid-build; the holder
-        # must keep seeing its own miss, not deadlock on its own lock.
-        assert gate.lookup(self.KEY) is None
-        gate.store(self.KEY, {"value": 2})
-        assert gate.lookup(self.KEY) == {"value": 2}
-        assert not gate._held
-
-    def test_release_all_frees_abandoned_locks(self, tmp_path):
-        gate = LeasedStore(DiskStore(tmp_path), owner="quitter", poll_interval=0.01)
-        assert gate.lookup(self.KEY) is None
-        gate.release_all()
-        other = LeasedStore(DiskStore(tmp_path), owner="next")
-        assert other.lookup(self.KEY) is None  # lock acquirable again
-
-
-# --------------------------------------------------------------------------- #
 # Worker parity: queue-driven grids == serial grids
 # --------------------------------------------------------------------------- #
 class TestWorkerParity:
@@ -287,11 +280,11 @@ class TestWorkerParity:
         self, small_dataset, serial_digests, tmp_path
     ):
         campaign = _campaign(small_dataset, store=DiskStore(tmp_path))
-        ledger = run_worker(campaign, tmp_path, worker_id="solo", claim_batch=3)
+        ledger = run_worker(campaign, tmp_path, worker_id="solo")
         assert [entry["attempt"] for entry in ledger.cells] == [1, 1, 1]
-        # One worker holding the whole batch fuses exactly like a serial
-        # campaign: two stream passes (documented wave + inferred wave),
-        # every grid-invariant stage built once per identity.
+        # One claim holds the whole stream group and fuses exactly like a
+        # serial campaign: two stream passes (documented wave + inferred
+        # wave), every grid-invariant stage built once per identity.
         assert ledger.build_counts["stream_pass"] == 2
         assert ledger.build_counts["dictionary"] == 1
         assert ledger.build_counts["inferred_dictionary"] == 1
@@ -315,7 +308,10 @@ class TestWorkerParity:
         # once per identity -- the effective dictionary has two identities
         # (documented vs +inferred), the usage stats at most one build
         # (inline collection during a fused pass tallies as inference).
+        # One stream group, so one worker runs the serial run's passes.
         counts = outcome.build_counts
+        assert counts["dataset"] == 1, counts
+        assert counts["stream_pass"] == 2, counts
         assert counts["dictionary"] == 1, counts
         assert counts["inferred_dictionary"] == 1, counts
         assert counts["effective_dictionary"] == 2, counts
@@ -327,6 +323,29 @@ class TestWorkerParity:
             assert record["observations_digest"] == serial_digests[record["label"]]
             assert record["worker"]  # every cell attributed to a producer
 
+    def test_two_seed_fleet_matches_the_serial_campaign(self, small_dataset, tmp_path):
+        matrix = _two_seed_matrix(small_dataset)
+        serial = _relabelled_campaign(small_dataset, matrix).run()
+        serial_digests = {
+            cell.label: observations_digest(result.observations)
+            for cell, result in serial.items()
+        }
+        outcome = _relabelled_campaign(
+            small_dataset, matrix, store=DiskStore(tmp_path)
+        ).run_distributed(workers=2, lease_ttl=30.0)
+        assert all(code == 0 for _, code in outcome.worker_exits), outcome.worker_exits
+        assert outcome.complete, outcome.status.counts
+        counts = outcome.build_counts
+        for stage in ("stream_pass", "dataset"):
+            assert counts[stage] == serial.build_counts[stage], (stage, counts)
+        done = outcome.done.values()
+        assert len(done) == len(matrix)
+        for seed in (23, 24):
+            workers = {record["worker"] for record in done if record["seed"] == seed}
+            assert len(workers) == 1, (seed, workers)
+        for record in done:
+            assert record["observations_digest"] == serial_digests[record["label"]]
+
     def test_sigkilled_worker_cell_is_reclaimed_by_a_survivor(
         self, small_dataset, serial_digests, tmp_path
     ):
@@ -335,8 +354,8 @@ class TestWorkerParity:
 
         def victim():
             def stall(claim):
-                marker.write_text(claim.cell_id)
-                time.sleep(300)  # hold the cell until SIGKILLed
+                marker.write_text(claim.group_id)
+                time.sleep(300)  # hold the group until SIGKILLed
 
             run_worker(
                 campaign, tmp_path, worker_id="victim", lease_ttl=1.0, on_claim=stall
@@ -347,7 +366,7 @@ class TestWorkerParity:
         deadline = time.time() + 60
         while not marker.exists() and time.time() < deadline:
             time.sleep(0.02)
-        assert marker.exists(), "victim never claimed a cell"
+        assert marker.exists(), "victim never claimed a group"
         os.kill(proc.pid, signal.SIGKILL)
         proc.join()
         assert proc.exitcode == -signal.SIGKILL
@@ -358,47 +377,52 @@ class TestWorkerParity:
         queue = CellQueue(tmp_path, _paper_matrix(small_dataset).cells())
         assert queue.drained()
         done = queue.done_records()
-        reclaimed = [r for r in done.values() if r["cell"] == marker.read_text()]
-        assert reclaimed and reclaimed[0]["attempt"] == 2
-        assert reclaimed[0]["worker"] == "survivor"
+        assert {record["group"] for record in done.values()} == {marker.read_text()}
         for record in done.values():
+            assert record["attempt"] == 2
+            assert record["worker"] == "survivor"
             assert record["observations_digest"] == serial_digests[record["label"]]
         assert len(ledger.cells) == 3
 
     def test_graceful_stop_releases_unstarted_claims(self, small_dataset, tmp_path):
-        # Two seeds -> two stream identities -> two fused groups per batch;
-        # stopping after the first group's cell completes must *release*
-        # the second claim (back to pending, zero attempt cost) instead of
-        # abandoning it to TTL expiry.  (The factory re-labels one shared
-        # dataset per config -- stream identity keys on dataset.config, and
-        # actually simulating a second scenario would buy this test
-        # nothing.)
-        import dataclasses
-
+        # Two seeds -> two stream groups.  Stopping once the first group's
+        # cell completes leaves the second group unclaimed; stopping right
+        # after a claim *releases* it (back to pending, zero attempt cost)
+        # instead of abandoning it to TTL expiry.
         matrix = ScenarioMatrix(small_dataset.config, seeds=(23, 24))
-        campaign = StudyCampaign(
-            matrix,
-            dataset_factory=lambda config: dataclasses.replace(
-                small_dataset, config=config
-            ),
-            store=DiskStore(tmp_path),
+        campaign = _relabelled_campaign(
+            small_dataset, matrix, store=DiskStore(tmp_path)
         )
+        queue = CellQueue(tmp_path, matrix.cells())
+
+        def assert_one_done_one_pending():
+            status = queue.status()
+            assert status.counts["done"] == 1
+            assert status.counts["pending"] == 1  # released, not leased/expired
+            (pending,) = [c for c in status.cells if c["state"] == "pending"]
+            assert queue.attempts(pending["group"]) == 0
+
         stop = threading.Event()
         ledger = run_worker(
             campaign,
             tmp_path,
             worker_id="stopper",
-            claim_batch=2,
             stop_event=stop,
             on_cell_done=lambda claim, summary: stop.set(),
         )
         assert len(ledger.cells) == 1
-        queue = CellQueue(tmp_path, matrix.cells())
-        status = queue.status()
-        assert status.counts["done"] == 1
-        assert status.counts["pending"] == 1  # released, not leased/expired
-        (pending,) = [c for c in status.cells if c["state"] == "pending"]
-        assert queue.attempts(pending["cell"]) == 0
+        assert_one_done_one_pending()
+
+        stop = threading.Event()
+        ledger = run_worker(
+            campaign,
+            tmp_path,
+            worker_id="releaser",
+            stop_event=stop,
+            on_claim=lambda claim: stop.set(),
+        )
+        assert ledger.cells == []
+        assert_one_done_one_pending()
 
 
 # --------------------------------------------------------------------------- #
@@ -417,7 +441,7 @@ class TestReapStaleQueueState:
         assert reap_stale_queue_state(tmp_path) == 1
         assert not claim.lease.path.exists()
         # The rename preserved the attempt history the poison guard counts.
-        assert queue.attempts(claim.cell_id) == 1
+        assert queue.attempts(claim.group_id) == 1
 
     def test_live_lease_survives_the_sweep(self, tmp_path, small_dataset):
         queue = self._queue(tmp_path, small_dataset, lease_ttl=600.0)
@@ -433,14 +457,7 @@ class TestReapStaleQueueState:
         payload = dict(claim.lease.payload, pid=_dead_pid())
         (claim.lease.path / "lease.json").write_text(json.dumps(payload))
         assert reap_stale_queue_state(tmp_path) == 1
-        assert queue.attempts(claim.cell_id) == 1
-
-    def test_expired_build_lock_is_removed(self, tmp_path, small_dataset):
-        gate = LeasedStore(DiskStore(tmp_path), owner="crashed", lock_ttl=0.05)
-        assert gate.lookup(("stage", "identity")) is None  # acquires the lock
-        time.sleep(0.1)
-        assert reap_stale_queue_state(tmp_path) == 1
-        assert not gate._lock_path(DiskStore.key_digest(("stage", "identity"))).exists()
+        assert queue.attempts(claim.group_id) == 1
 
     def test_orphaned_queue_staging_of_dead_writer_is_reaped(
         self, tmp_path, small_dataset
@@ -448,19 +465,21 @@ class TestReapStaleQueueState:
         queue = self._queue(tmp_path, small_dataset)
         stale = queue.root / "tmp" / f"lease.{_dead_pid()}.1"
         stale.mkdir(parents=True)
+        stale_file = queue.root / "tmp" / f"ledger.{_dead_pid()}.2"
+        stale_file.write_text("{}")
         live = queue.root / "tmp" / f"lease.{os.getpid()}.9"
         live.mkdir()
-        assert reap_stale_queue_state(tmp_path) == 1
-        assert not stale.exists()
+        assert reap_stale_queue_state(tmp_path) == 2
+        assert not stale.exists() and not stale_file.exists()
         assert live.exists()
 
     def test_disk_store_init_runs_the_sweep(self, tmp_path, small_dataset):
         queue = self._queue(tmp_path, small_dataset, lease_ttl=0.05)
         claim = queue.claim("crashed")
         time.sleep(0.1)
-        DiskStore(tmp_path)  # satellite: the generalised _clean_staging hook
+        DiskStore(tmp_path)  # the store's staging sweep covers the queue too
         assert not claim.lease.path.exists()
-        assert queue.attempts(claim.cell_id) == 1
+        assert queue.attempts(claim.group_id) == 1
 
 
 # --------------------------------------------------------------------------- #
