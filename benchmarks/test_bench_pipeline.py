@@ -18,7 +18,6 @@ from repro.bgp.community import Community
 from repro.core.inference import BlackholingInferenceEngine
 from repro.dictionary.builder import DictionaryBuilder
 from repro.dictionary.model import BlackholeDictionary, CommunityEntry, CommunitySource
-from repro.exec import ExecutionPlan
 from repro.exec.plan import _split_batch, shard_of_key
 from repro.stream.batch import BATCH_SIZE, stream_batches
 from repro.workload.simulation import ScenarioSimulator
@@ -266,40 +265,6 @@ def test_bench_inference_pass(benchmark, bench_dataset, bench_result, results_di
     )
     print("\n" + text)
     assert engine.stats.observations_started > 0
-
-
-def test_bench_spill_memory_ceiling(benchmark, longitudinal_dataset, tmp_path):
-    """Multi-year window under a resident-observation cap: the ceiling holds.
-
-    Asserted via the spill accounting (peak resident per sink), never via
-    process RSS, and the merged observations must equal the fully-resident
-    run's.
-    """
-    dictionary = DictionaryBuilder(longitudinal_dataset.corpus).build()
-    peeringdb = longitudinal_dataset.topology.peeringdb
-    cap = 2_000
-
-    def run(plan):
-        return plan.run_inference(
-            longitudinal_dataset.bgp_stream(),
-            dictionary,
-            end_time=longitudinal_dataset.end,
-            peeringdb=peeringdb,
-        )
-
-    spilled = benchmark.pedantic(
-        run,
-        args=(
-            ExecutionPlan(spill_dir=tmp_path, max_resident_observations=cap),
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    resident = run(ExecutionPlan())
-    assert spilled.spill.peak_resident_observations <= cap
-    assert spilled.spill.spilled_observations > 0
-    assert spilled.observations == resident.observations
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_bench_full_study_pipeline(benchmark, bench_dataset):

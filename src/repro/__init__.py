@@ -20,9 +20,7 @@ The package has four layers:
   is columnar: the stream is chunked into
   :class:`~repro.stream.batch.ElemBatch` structs-of-arrays (interned
   community tuples, prefix shard keys) that engines consume whole --
-  bit-identical to the per-elem reference semantics -- and ``spill_dir``
-  bounds resident memory by spilling closed observations to disk
-  (:mod:`repro.exec.spill`).  Meanwhile
+  bit-identical to the per-elem reference semantics.  Meanwhile
   :class:`~repro.exec.context.PipelineContext` resolves the pipeline's
   composable stages (dictionary, usage statistics, inference, grouping,
   report) lazily with per-stage caching.  On top of it, the campaign layer

@@ -47,7 +47,6 @@ builds only the pipeline stages its registry entry declares, so e.g.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from importlib import metadata
@@ -59,7 +58,6 @@ from repro.analysis.pipeline import StudyPipeline, StudyResult
 from repro.exec.campaign import ABLATIONS, AblationSpec, ScenarioMatrix, StudyCampaign
 from repro.exec.context import ArtifactCache
 from repro.exec.plan import ExecutionPlan
-from repro.exec.spill import DEFAULT_MAX_RESIDENT_OBSERVATIONS
 from repro.exec.store import DiskStore, dump_artifact
 from repro.routing.collectors import (
     PROJECT_CDN,
@@ -103,14 +101,10 @@ def _package_version() -> str:
 def _build_plan(args: argparse.Namespace) -> ExecutionPlan:
     """The execution plan shared by study/report/sweep (raises ValueError).
 
-    One construction site for the layout knobs (--workers, --spill-dir,
-    --max-resident-observations) so the commands cannot drift.
+    One construction site for the layout knob (--workers) so the commands
+    cannot drift.
     """
-    return ExecutionPlan(
-        workers=args.workers,
-        spill_dir=args.spill_dir,
-        max_resident_observations=args.max_resident_observations,
-    )
+    return ExecutionPlan(workers=args.workers)
 
 
 def _simulate(args: argparse.Namespace, out: Callable[[str], None]) -> ScenarioDataset:
@@ -351,7 +345,7 @@ def _cmd_sweep(args: argparse.Namespace, out: Callable[[str], None]) -> int:
         if not args.resume and preexisting:
             # Conflicting digests stay pinned in memory on a cold run (the
             # pre-existing bytes are neither read nor clobbered), so the
-            # disk spill is effectively off -- worth telling the user.
+            # store's LRU cannot evict them -- worth telling the user.
             mode = "cold run; pre-existing entries ignored, pass --resume to reuse"
         status(f"Artifact store: {args.store} ({preexisting} durable entries, {mode})")
     # With --report the sweep is needs-pruned: only the stages the named
@@ -409,8 +403,6 @@ def _cmd_sweep(args: argparse.Namespace, out: Callable[[str], None]) -> int:
                 row_touches=outcome.engine_stats.row_touches,
                 rows_materialised=outcome.engine_stats.rows_materialised,
             )
-            if outcome.spill is not None:
-                entry["spill"] = dataclasses.asdict(outcome.spill)
         return entry
 
     if args.format == "json":
@@ -659,24 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument("--seed", type=int, default=23, help="scenario seed")
 
-    def add_spill_args(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--spill-dir",
-            metavar="DIR",
-            default=None,
-            help="bound resident memory: spill closed observations to "
-            "temporaries under DIR and re-stream them when results are "
-            "merged (bit-identical output; temporaries are removed)",
-        )
-        sub.add_argument(
-            "--max-resident-observations",
-            type=int,
-            default=None,
-            metavar="N",
-            help="per-engine resident-observation cap used with --spill-dir "
-            f"(default: {DEFAULT_MAX_RESIDENT_OBSERVATIONS})",
-        )
-
     simulate = subparsers.add_parser(
         "simulate", help="generate a scenario and print its statistics"
     )
@@ -699,7 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="number of prefix shards for the inference pass (default: 1, serial)",
     )
-    add_spill_args(study)
     study.add_argument(
         "--format",
         choices=("text", "json"),
@@ -736,7 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="number of prefix shards for inference-needing analyses (default: 1)",
     )
-    add_spill_args(report)
     report.add_argument(
         "--store",
         metavar="DIR",
@@ -798,7 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=1,
             help="number of prefix shards for the shared execution plan (default: 1)",
         )
-        add_spill_args(sub)
 
     def add_lease_args(sub: argparse.ArgumentParser) -> None:
         from repro.exec.distrib import DEFAULT_LEASE_TTL, DEFAULT_MAX_ATTEMPTS

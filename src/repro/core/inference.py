@@ -128,7 +128,6 @@ class BlackholingInferenceEngine:
         resolver: ProviderResolver | None = None,
         enable_bundling: bool = True,
         on_completed: Callable[[BlackholingObservation], None] | None = None,
-        completed_sink=None,
     ) -> None:
         self.dictionary = dictionary
         self.peeringdb = peeringdb if peeringdb is not None else PeeringDbDataset()
@@ -155,11 +154,8 @@ class BlackholingInferenceEngine:
         #: bulk-skip rows with no active state.
         self._active_table = bytearray()
         self._peer_interner: PeerPrefixInterner | None = None
-        #: Closed observations.  Default is a plain list; a bounded-memory
-        #: run passes a :class:`~repro.exec.spill.SpillingObservationSink`
-        #: (anything with ``append`` and ``__iter__``) so overflow spills to
-        #: disk instead of growing resident.
-        self._completed = [] if completed_sink is None else completed_sink
+        #: Closed observations, in completion order.
+        self._completed: list[BlackholingObservation] = []
         #: Precompiled tag matcher of the columnar path, rebuilt whenever
         #: the resolver's dictionary identity changes.
         self._matcher: CommunityMatcher | None = None
@@ -329,18 +325,6 @@ class BlackholingInferenceEngine:
             for peer_prefix_id in premarked:
                 if peer_prefix_id not in active:
                     table[peer_prefix_id] = 0
-
-    def replace_completed(
-        self, observations: Iterable[BlackholingObservation]
-    ) -> None:
-        """Swap the completed store for a plain resident list.
-
-        The execution layer calls this after draining a spill sink: the
-        sink's chunk files are deleted once the merged results are
-        materialised, so the engine's exposed :meth:`observations` must
-        switch to the drained list to stay valid.
-        """
-        self._completed = list(observations)
 
     def observations(self, include_active: bool = True) -> list[BlackholingObservation]:
         """All completed observations, plus the still-active ones."""

@@ -17,11 +17,6 @@ shard-parallel execution layer:
   (content-addressed on-disk persistence keyed by durable
   :func:`~repro.exec.identity.digest` identities, with typed artifact
   serialisers), which makes campaigns durable and resumable;
-* :mod:`repro.exec.spill` -- :class:`SpillingObservationSink`, the
-  bounded-memory closed-observation store: engines append, full chunks
-  spill to disk through the ``observations`` artifact serialiser, and the
-  merge layer re-streams them transparently (``ExecutionPlan(spill_dir=...,
-  max_resident_observations=...)``);
 * :mod:`repro.exec.campaign` -- :class:`ScenarioMatrix` /
   :class:`StudyCampaign` / :class:`CampaignResult`, the scenario-grid layer
   that runs seed sweeps, ablation grids and scale ladders through one plan
@@ -77,11 +72,6 @@ from repro.exec.plan import (
     shard_of_key,
     shard_predicate,
 )
-from repro.exec.spill import (
-    DEFAULT_MAX_RESIDENT_OBSERVATIONS,
-    SpillingObservationSink,
-    SpillStats,
-)
 from repro.exec.stages import DEFAULT_STAGES, Stage, stream_identity
 from repro.exec.store import (
     ArtifactStore,
@@ -104,7 +94,6 @@ __all__ = [
     "CampaignResult",
     "CampaignTable",
     "CellQueue",
-    "DEFAULT_MAX_RESIDENT_OBSERVATIONS",
     "DiskStore",
     "DistributedOutcome",
     "GroupClaim",
@@ -118,8 +107,6 @@ __all__ = [
     "ScenarioCell",
     "ScenarioMatrix",
     "Serializer",
-    "SpillStats",
-    "SpillingObservationSink",
     "Stage",
     "StudyCampaign",
     "aggregate_build_counts",

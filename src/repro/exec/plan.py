@@ -46,11 +46,6 @@ from repro.core.grouping import DEFAULT_GROUPING_TIMEOUT, GroupingAccumulator
 from repro.core.inference import BlackholingInferenceEngine, EngineStats
 from repro.dictionary.inference import CommunityUsageStats
 from repro.dictionary.model import BlackholeDictionary
-from repro.exec.spill import (
-    DEFAULT_MAX_RESIDENT_OBSERVATIONS,
-    SpillingObservationSink,
-    SpillStats,
-)
 from repro.gcpause import paused_gc
 from repro.netutils.prefixes import Prefix
 from repro.stream.batch import BATCH_SIZE, ElemBatch, prefix_shard_key, stream_batches
@@ -212,9 +207,6 @@ class ExecutionOutcome:
     engine: BlackholingInferenceEngine | None = None
     backend: str = "serial"
     workers: int = 1
-    #: Spill accounting when the plan ran with a spill directory;
-    #: ``None`` when observations stayed fully resident.
-    spill: SpillStats | None = None
 
 
 @dataclass(frozen=True)
@@ -247,8 +239,8 @@ def _shard_worker(shard: int) -> tuple:
     """One shard of the forked layout: one engine per request over the
     shard's slice of the stream, filtered at the source.
 
-    Returns per-request ``(accumulator, shard parts, spill stats)`` plus
-    the shard's usage statistics; with zero requests the worker only counts
+    Returns per-request ``(accumulator, shard parts)`` plus the shard's
+    usage statistics; with zero requests the worker only counts
     usage statistics.
     """
     plan, stream, requests, end_time, peeringdb, documented = _FORK_JOB
@@ -263,7 +255,6 @@ def _assemble(
     parts: list[tuple[list[BlackholingObservation], EngineStats, CleaningStats]],
     accumulator: GroupingAccumulator,
     usage_stats: CommunityUsageStats | None,
-    spill: SpillStats | None,
     backend: str,
     workers: int,
     engine: BlackholingInferenceEngine | None = None,
@@ -293,7 +284,6 @@ def _assemble(
         engine=engine,
         backend=backend,
         workers=workers,
-        spill=spill,
     )
 
 
@@ -321,16 +311,6 @@ class ExecutionPlan:
         it; tests set it to put batch boundaries inside small inputs.
     backend:
         ``"auto"``, ``"inline"`` or ``"process"``; ignored for ``workers=1``.
-    spill_dir:
-        When set, every engine's closed observations flow through a
-        :class:`~repro.exec.spill.SpillingObservationSink` rooted here,
-        bounding resident memory on long windows; results are bit-identical
-        to the fully-resident run and the temporaries are removed once the
-        merge materialises them.
-    max_resident_observations:
-        Per-engine resident cap used with ``spill_dir``
-        (:data:`~repro.exec.spill.DEFAULT_MAX_RESIDENT_OBSERVATIONS` when
-        ``None``); setting it without a spill directory is an error.
     """
 
     def __init__(
@@ -338,8 +318,6 @@ class ExecutionPlan:
         workers: int = 1,
         batch_size: int = BATCH_SIZE,
         backend: str = "auto",
-        spill_dir: str | os.PathLike | None = None,
-        max_resident_observations: int | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -347,27 +325,9 @@ class ExecutionPlan:
             raise ValueError("batch_size must be >= 1")
         if backend not in ("auto", "inline", "process"):
             raise ValueError(f"unknown backend {backend!r}")
-        if max_resident_observations is not None:
-            if max_resident_observations < 1:
-                raise ValueError("max_resident_observations must be >= 1 (or None)")
-            if spill_dir is None:
-                raise ValueError("max_resident_observations requires spill_dir")
         self.workers = workers
         self.batch_size = batch_size
         self.backend = backend
-        self.spill_dir = spill_dir
-        self.max_resident_observations = max_resident_observations
-
-    # ------------------------------------------------------------------ #
-    def _new_sink(self, label: str) -> SpillingObservationSink | None:
-        """A spill sink for one engine, or ``None`` when spilling is off."""
-        if self.spill_dir is None:
-            return None
-        return SpillingObservationSink(
-            self.spill_dir,
-            self.max_resident_observations or DEFAULT_MAX_RESIDENT_OBSERVATIONS,
-            label=label,
-        )
 
     # ------------------------------------------------------------------ #
     def resolved_backend(self) -> str:
@@ -516,17 +476,11 @@ class ExecutionPlan:
             )
             outcomes = []
             for cell in cells:
-                accumulator, parts, spill = self._drain_cell(cell)
-                engine = None
-                if shards == 1:
-                    # The serial outcome exposes its engine; re-point its
-                    # completed store at the drained list once the sink's
-                    # files are gone.
-                    _, (engine,), (sink,) = cell
-                    if sink is not None:
-                        engine.replace_completed(parts[0][0])
+                accumulator, parts = self._drain_cell(cell)
+                # The serial outcome exposes its engine.
+                engine = cell[1][0] if shards == 1 else None
                 outcomes.append(
-                    _assemble(parts, accumulator, usage_stats, spill, backend, shards, engine)
+                    _assemble(parts, accumulator, usage_stats, backend, shards, engine)
                 )
             return outcomes, usage_stats
 
@@ -544,16 +498,13 @@ class ExecutionPlan:
         outcomes = []
         for index, request in enumerate(requests):
             accumulator = GroupingAccumulator(timeout=request.grouping_timeout)
-            spill = SpillStats() if self.spill_dir is not None else None
             parts = []
             for shard_cells, _ in results:
-                shard_accumulator, shard_parts, shard_spill = shard_cells[index]
+                shard_accumulator, shard_parts = shard_cells[index]
                 parts.extend(shard_parts)
                 accumulator.merge(shard_accumulator)
-                if spill is not None:
-                    spill.merge(shard_spill)
             outcome = _assemble(
-                parts, accumulator, usage_stats, spill, "process", self.workers
+                parts, accumulator, usage_stats, "process", self.workers
             )
             if request.on_observation is not None:
                 for observation in outcome.observations:
@@ -575,15 +526,15 @@ class ExecutionPlan:
         """Drive the stream through ``shards`` engines per request.
 
         A fork worker passes ``only_shard`` and reads just that shard's
-        slice of the stream.  Returns per-request ``(accumulator, engines,
-        sinks)`` with every engine finalised, plus the usage statistics
+        slice of the stream.  Returns per-request ``(accumulator, engines)``
+        with every engine finalised, plus the usage statistics
         counted against ``documented`` (``None`` when it is ``None``).
         """
         predicate = None
         if only_shard is not None:
             predicate = shard_predicate(only_shard, self.workers)
         cells = []
-        for index, request in enumerate(requests):
+        for request in requests:
             accumulator = GroupingAccumulator(timeout=request.grouping_timeout)
             if request.on_observation is None:
                 completed = accumulator.add
@@ -595,27 +546,22 @@ class ExecutionPlan:
                 ) -> None:
                     _add(observation)
                     _notify(observation)
-            sinks = [
-                self._new_sink(f"req{index}-shard{shard if only_shard is None else only_shard}")
-                for shard in range(shards)
-            ]
             engines = [
                 BlackholingInferenceEngine(
                     request.dictionary,
                     peeringdb=peeringdb,
                     enable_bundling=request.enable_bundling,
                     on_completed=completed,
-                    completed_sink=sink,
                 )
-                for sink in sinks
+                for _ in range(shards)
             ]
-            cells.append((accumulator, engines, sinks))
+            cells.append((accumulator, engines))
 
         usage_stats = CommunityUsageStats() if documented is not None else None
         # Shard each batch once, then hand the same (sub-)batch to every
         # request's engine.
         dispatch = [
-            [engines[shard].process_batch for _, engines, _ in cells]
+            [engines[shard].process_batch for _, engines in cells]
             for shard in range(shards)
         ]
         shard_memo: dict = {}
@@ -629,25 +575,19 @@ class ExecutionPlan:
             for shard, sub_batch in _split_batch(batch, shards, shard_memo):
                 for handle in dispatch[shard]:
                     handle(sub_batch)
-        for _, engines, _ in cells:
+        for _, engines in cells:
             for engine in engines:
                 engine.finalise(end_time)
         return cells, usage_stats
 
     def _drain_cell(self, cell: tuple) -> tuple:
-        """One request's ``(accumulator, parts, spill stats)``: its per-shard
-        ``(observations, engine stats, cleaning stats)`` parts, with every
-        spill sink folded into the spill stats and removed."""
-        accumulator, engines, sinks = cell
-        spill = SpillStats() if self.spill_dir is not None else None
-        parts = []
-        for engine, sink in zip(engines, sinks):
-            observations = engine.observations()
-            if sink is not None:
-                spill.absorb(sink)
-                sink.cleanup()
-            parts.append((observations, engine.stats, engine.cleaner.stats))
-        return accumulator, parts, spill
+        """One request's ``(accumulator, parts)``: its per-shard
+        ``(observations, engine stats, cleaning stats)`` parts."""
+        accumulator, engines = cell
+        return accumulator, [
+            (engine.observations(), engine.stats, engine.cleaner.stats)
+            for engine in engines
+        ]
 
     def _map_forked(self, job: tuple) -> list:
         """Run :func:`_shard_worker` over every shard index in a fork pool."""
@@ -661,13 +601,7 @@ class ExecutionPlan:
             _FORK_JOB = None
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
-        spill = ""
-        if self.spill_dir is not None:
-            spill = (
-                f", spill_dir={str(self.spill_dir)!r}, "
-                f"max_resident_observations={self.max_resident_observations}"
-            )
         return (
             f"ExecutionPlan(workers={self.workers}, batch_size={self.batch_size}, "
-            f"backend={self.backend!r}{spill})"
+            f"backend={self.backend!r})"
         )

@@ -2,7 +2,7 @@
 
 The three public methods are wrappers over one private pass; these tests
 pin what the wrappers promise beyond result parity (which the exec, fused,
-batch, spill and lazy-ingest suites cover): which layout and label a run
+batch and lazy-ingest suites cover): which layout and label a run
 gets, that a stats-only pass never shards, that the wrappers do not route
 through one another, and that more shards than one byte can name still
 split batches exactly.  The study tests pin that an eager study streams
@@ -71,6 +71,8 @@ class TestLayouts:
         assert outcome.workers == plan.workers
         # Only a serial run has one engine to expose.
         assert (outcome.engine is not None) == (label == "serial")
+        if label == "serial":
+            assert outcome.engine.observations() == outcome.observations
 
     def test_more_than_255_shards_match_serial(self, small_dataset, small_dictionary):
         # Shard ids above 255 do not fit the one-byte shard column, so the
