@@ -1,237 +1,26 @@
-"""Tests for bounded-memory observation spill (:mod:`repro.exec.spill`).
+"""Tests for what a run keeps of its closed observations.
 
-Covers the acceptance properties of the spill subsystem:
-
-* sink semantics -- append order is preserved across chunk-file round
-  trips, the resident peak never exceeds the cap, and cleanup removes the
-  sink's private directory;
-* plan-level parity -- a spilling run produces bit-identical merged
-  observations to the fully-resident run on the serial, inline and process
-  backends, while ``outcome.spill`` proves the cap held;
-* validation -- spill knobs reject nonsensical configurations;
-* the memory ceiling -- a run whose observation count is a large multiple
-  of the cap still never holds more than ``max_resident`` closed
-  observations per sink.
+The observation spill is gone: an engine keeps its closed observations in
+one resident list.  A serial outcome hands that engine back, so the list
+must still be readable once the run has finished and must equal the
+outcome's merged observations.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.bgp.community import Community
-from repro.core.events import BlackholingObservation, DetectionMethod, EndCause
-from repro.exec import (
-    DEFAULT_MAX_RESIDENT_OBSERVATIONS,
-    ExecutionPlan,
-    InferenceRequest,
-    SpillingObservationSink,
-    SpillStats,
-)
-from repro.netutils.prefixes import Prefix
+from repro.exec import ExecutionPlan
 
 
-def _observation(index: int) -> BlackholingObservation:
-    return BlackholingObservation(
-        prefix=Prefix.from_string(f"198.51.{index // 256}.{index % 256}/32"),
-        project="ris",
-        collector="rrc00",
-        peer_ip="10.0.0.1",
-        peer_as=1299,
-        provider_key="AS3356",
-        provider_asn=3356,
-        ixp_name=None,
-        user_asn=64500,
-        community=Community(3356, 666),
-        detection=DetectionMethod.ON_PATH,
-        as_distance=1,
-        start_time=float(index),
-        from_table_dump=False,
-        end_time=float(index) + 10.0,
-        end_cause=EndCause.EXPLICIT_WITHDRAWAL,
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Sink semantics
-# --------------------------------------------------------------------------- #
-class TestSpillingObservationSink:
-    def test_append_order_is_preserved_across_spills(self, tmp_path):
-        sink = SpillingObservationSink(tmp_path, max_resident=5)
-        observations = [_observation(i) for i in range(17)]
-        for observation in observations:
-            sink.append(observation)
-        assert list(sink) == observations
-        assert len(sink) == 17
-        # 3 full chunks spilled, 2 still resident.
-        assert sink.spilled == 15
-        assert sink.file_count == 3
-        assert sink.peak_resident == 5
-
-    def test_iteration_is_repeatable(self, tmp_path):
-        sink = SpillingObservationSink(tmp_path, max_resident=3)
-        observations = [_observation(i) for i in range(7)]
-        for observation in observations:
-            sink.append(observation)
-        assert list(sink) == observations
-        assert list(sink) == observations  # chunk files are re-read, not consumed
-
-    def test_cleanup_removes_the_private_directory(self, tmp_path):
-        sink = SpillingObservationSink(tmp_path, max_resident=2, label="unit")
-        for i in range(5):
-            sink.append(_observation(i))
-        assert any(tmp_path.iterdir())
-        sink.cleanup()
-        assert list(tmp_path.iterdir()) == []
-
-    def test_sinks_sharing_a_root_do_not_collide(self, tmp_path):
-        left = SpillingObservationSink(tmp_path, max_resident=2, label="left")
-        right = SpillingObservationSink(tmp_path, max_resident=2, label="left")
-        for i in range(4):
-            left.append(_observation(i))
-            right.append(_observation(100 + i))
-        assert list(left) == [_observation(i) for i in range(4)]
-        assert list(right) == [_observation(100 + i) for i in range(4)]
-
-    def test_stats_snapshot_and_merge(self, tmp_path):
-        sink = SpillingObservationSink(tmp_path, max_resident=4)
-        for i in range(9):
-            sink.append(_observation(i))
-        snapshot = sink.stats()
-        assert snapshot.sinks == 1
-        assert snapshot.spilled_observations == 8
-        assert snapshot.spill_files == 2
-        assert snapshot.peak_resident_observations == 4
-        assert snapshot.resident_cap == 4
-        merged = SpillStats().merge(snapshot).merge(snapshot)
-        assert merged.sinks == 2
-        assert merged.spilled_observations == 16
-        assert merged.peak_resident_observations == 4  # peaks max, not sum
-
-    def test_cap_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            SpillingObservationSink(tmp_path, max_resident=0)
-
-
-# --------------------------------------------------------------------------- #
-# Plan validation
-# --------------------------------------------------------------------------- #
-class TestPlanSpillValidation:
-    def test_cap_without_spill_dir_is_rejected(self):
-        with pytest.raises(ValueError):
-            ExecutionPlan(max_resident_observations=100)
-
-    def test_non_positive_cap_is_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            ExecutionPlan(spill_dir=tmp_path, max_resident_observations=0)
-
-    def test_spill_dir_alone_uses_the_default_cap(self, tmp_path):
-        plan = ExecutionPlan(spill_dir=tmp_path)
-        sink = plan._new_sink("unit")
-        assert sink.max_resident == DEFAULT_MAX_RESIDENT_OBSERVATIONS
-        sink.cleanup()
-
-
-# --------------------------------------------------------------------------- #
-# Plan-level parity and the memory ceiling
-# --------------------------------------------------------------------------- #
 class TestSpillingExecutionParity:
-    @pytest.mark.parametrize("plan_knobs", [
-        {"workers": 1},
-        {"workers": 1, "batch_size": 128},
-        {"workers": 4, "backend": "inline", "batch_size": 128},
-        {"workers": 4, "backend": "process", "batch_size": 128},
-    ])
-    def test_spilled_runs_merge_bit_identically(
-        self, tmp_path, small_dataset, small_dictionary, plan_knobs
-    ):
-        peeringdb = small_dataset.topology.peeringdb
-
-        def run(**spill_knobs):
-            return ExecutionPlan(**plan_knobs, **spill_knobs).run_inference(
-                small_dataset.bgp_stream(),
-                small_dictionary,
-                end_time=small_dataset.end,
-                peeringdb=peeringdb,
-            )
-
-        resident = run()
-        cap = 50
-        spilled = run(spill_dir=tmp_path, max_resident_observations=cap)
-        assert spilled.observations == resident.observations
-        assert spilled.engine_stats == resident.engine_stats
-        assert spilled.cleaning_stats == resident.cleaning_stats
-        assert resident.spill is None
-        # The accounting proves the ceiling held and real spilling happened.
-        assert spilled.spill is not None
-        assert spilled.spill.resident_cap == cap
-        assert spilled.spill.peak_resident_observations <= cap
-        assert spilled.spill.spilled_observations > 0
-        # Nothing is left behind under the spill root.
-        assert list(tmp_path.iterdir()) == []
-
     def test_serial_outcome_engine_survives_sink_cleanup(
-        self, tmp_path, small_dataset, small_dictionary
+        self, small_dataset, small_dictionary
     ):
-        outcome = ExecutionPlan(
-            spill_dir=tmp_path, max_resident_observations=25
-        ).run_inference(
+        outcome = ExecutionPlan().run_inference(
             small_dataset.bgp_stream(),
             small_dictionary,
             end_time=small_dataset.end,
             peeringdb=small_dataset.topology.peeringdb,
         )
         assert outcome.engine is not None
+        assert outcome.observations
         assert outcome.engine.observations() == outcome.observations
-
-    def test_fused_many_pass_spills_per_cell(
-        self, tmp_path, small_dataset, small_dictionary
-    ):
-        requests = [
-            InferenceRequest(dictionary=small_dictionary),
-            InferenceRequest(dictionary=small_dictionary, enable_bundling=False),
-        ]
-        plan_resident = ExecutionPlan(workers=2, backend="inline", batch_size=64)
-        plan_spilling = ExecutionPlan(
-            workers=2, backend="inline", batch_size=64,
-            spill_dir=tmp_path, max_resident_observations=40,
-        )
-        resident = plan_resident.run_inference_many(
-            small_dataset.bgp_stream(), requests, end_time=small_dataset.end,
-            peeringdb=small_dataset.topology.peeringdb,
-        )
-        spilling = plan_spilling.run_inference_many(
-            small_dataset.bgp_stream(), requests, end_time=small_dataset.end,
-            peeringdb=small_dataset.topology.peeringdb,
-        )
-        for before, after in zip(resident, spilling):
-            assert after.observations == before.observations
-            assert after.spill is not None
-            assert after.spill.peak_resident_observations <= 40
-        assert list(tmp_path.iterdir()) == []
-
-    def test_memory_ceiling_holds_at_a_tiny_cap(
-        self, tmp_path, small_dataset, small_dictionary
-    ):
-        # A cap hundreds of times smaller than the observation volume: the
-        # peak must still never exceed it, per sink, on any backend.
-        cap = 10
-        outcome = ExecutionPlan(
-            workers=2,
-            backend="process",
-            batch_size=256,
-            spill_dir=tmp_path,
-            max_resident_observations=cap,
-        ).run_inference(
-            small_dataset.bgp_stream(),
-            small_dictionary,
-            end_time=small_dataset.end,
-            peeringdb=small_dataset.topology.peeringdb,
-        )
-        assert len(outcome.observations) > 20 * cap
-        assert outcome.spill.peak_resident_observations <= cap
-        assert outcome.spill.sinks == 2
-        assert (
-            outcome.spill.spilled_observations
-            + outcome.spill.sinks * cap
-            >= len(outcome.observations)
-        )
