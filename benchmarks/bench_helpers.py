@@ -9,7 +9,10 @@ from repro.attacks.timeline import AttackTimelineConfig
 from repro.topology.generator import TopologyConfig
 from repro.workload.config import ScenarioConfig
 
+#: Committed result files, rewritten only by ``pytest --refresh-results``.
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+#: Where a plain test run writes them (git-ignored).
+LOCAL_RESULTS_DIR = pathlib.Path(__file__).parent / ".results"
 
 
 def bench_scenario_config(seed: int = 23) -> ScenarioConfig:

@@ -12,9 +12,11 @@ Two scenarios are prepared once per session:
 * ``longitudinal_result`` -- the Dec 2014 - Mar 2017 window over the small
   topology (to keep the multi-year stream tractable); used by Figure 4.
 
-Every benchmark writes the rows/series it regenerates to
-``benchmarks/results/<name>.txt`` so that the paper-vs-measured comparison in
-EXPERIMENTS.md can be refreshed from a plain benchmark run.
+Every benchmark writes the rows/series it regenerates to ``<name>.txt`` in
+``results_dir``: the git-ignored ``benchmarks/.results/`` by default, so a
+plain test run leaves the tree clean, or the tracked ``benchmarks/results/``
+when ``pytest --refresh-results`` asks for a refresh of the committed
+paper-vs-measured rows.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import pytest
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 from bench_helpers import (  # noqa: E402
+    LOCAL_RESULTS_DIR,
     RESULTS_DIR,
     bench_scenario_config,
     longitudinal_scenario_config,
@@ -41,6 +44,16 @@ from repro.exec.campaign import (  # noqa: E402
     StudyCampaign,
 )
 from repro.workload.simulation import ScenarioDataset, ScenarioSimulator  # noqa: E402
+
+
+def pytest_addoption(parser: pytest.Parser) -> None:
+    parser.addoption(
+        "--refresh-results",
+        action="store_true",
+        default=False,
+        help="write benchmark result files to the tracked benchmarks/results/ "
+        "instead of the git-ignored benchmarks/.results/",
+    )
 
 
 @pytest.fixture(scope="session")
@@ -81,6 +94,8 @@ def longitudinal_result(longitudinal_dataset: ScenarioDataset) -> StudyResult:
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> pathlib.Path:
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    return RESULTS_DIR
+def results_dir(request: pytest.FixtureRequest) -> pathlib.Path:
+    refresh = request.config.getoption("--refresh-results")
+    directory = RESULTS_DIR if refresh else LOCAL_RESULTS_DIR
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory

@@ -6,7 +6,8 @@ This package models the parts of BGP that the paper's methodology touches:
   extended communities, and RFC 8092 large communities, including the
   well-known RFC 7999 BLACKHOLE community.
 * :mod:`repro.bgp.attributes` -- path attributes (ORIGIN, AS_PATH, NEXT_HOP,
-  COMMUNITIES, LARGE_COMMUNITIES, ...), with AS-path prepending helpers.
+  COMMUNITIES, LARGE_COMMUNITIES, ...), with AS-path prepending helpers
+  and the per-scenario :class:`AttributeTable` that shares equal values.
 * :mod:`repro.bgp.message` -- the update/withdraw message model used by the
   simulator, the stream layer, and the inference engine.
 * :mod:`repro.bgp.wire` -- a real BGP UPDATE wire-format encoder/decoder so
@@ -15,7 +16,7 @@ This package models the parts of BGP that the paper's methodology touches:
 * :mod:`repro.bgp.rib` -- per-peer Routing Information Bases and table dumps.
 """
 
-from repro.bgp.attributes import AsPath, Origin, PathAttributes
+from repro.bgp.attributes import AsPath, AttributeTable, Origin, PathAttributes
 from repro.bgp.community import (
     BLACKHOLE_COMMUNITY,
     Community,
@@ -32,6 +33,7 @@ from repro.bgp.wire import decode_update, encode_update
 
 __all__ = [
     "AsPath",
+    "AttributeTable",
     "BLACKHOLE_COMMUNITY",
     "BgpMessage",
     "BgpUpdate",

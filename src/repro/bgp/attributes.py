@@ -11,6 +11,9 @@ The AS_PATH helpers implement the two operations the inference engine needs:
   blackholing provider along the AS path (after removing AS path
   prepending)" (Section 4.2);
 * neighbour lookup -- finding the AS hop immediately before a given ASN.
+
+:class:`AttributeTable` hash-conses the attributes a scenario generator
+emits, so every message carrying the same value shares one object.
 """
 
 from __future__ import annotations
@@ -19,9 +22,16 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
-from repro.bgp.community import CommunitySet
+from repro.bgp.community import Community, CommunitySet, LargeCommunity
 
-__all__ = ["AsPath", "Origin", "PathAttributes", "AttributeFlag", "AttributeType"]
+__all__ = [
+    "AsPath",
+    "AttributeFlag",
+    "AttributeTable",
+    "AttributeType",
+    "Origin",
+    "PathAttributes",
+]
 
 
 class Origin(enum.IntEnum):
@@ -210,3 +220,69 @@ class PathAttributes:
     def prepended(self, asn: int, times: int = 1) -> "PathAttributes":
         """Return attributes with the AS path prepended by ``asn``."""
         return replace(self, as_path=self.as_path.prepend(asn, times))
+
+
+class AttributeTable:
+    """One :class:`AsPath`, :class:`CommunitySet` and :class:`PathAttributes`
+    per distinct value (hash-consing).
+
+    A scenario's messages repeat a few thousand attribute values across
+    hundreds of thousands of messages.  Looking each value up here instead
+    of constructing it saves the constructors, the memory of the copies
+    and the garbage collector's walk over them, and lets every consumer
+    compare equal paths and community sets by identity.
+
+    Lookups are keyed on the raw inputs (hop tuple, next hop, community
+    tuples), so a hit constructs nothing.  A miss builds the value and
+    canonicalises it, so two spellings of one community set (the same
+    communities in another order) still share one object.  A table is
+    meant to live as long as one generation run: it holds every value it
+    handed out.
+    """
+
+    __slots__ = ("_paths", "_communities", "_community_values", "_attributes",
+                 "_attribute_values")
+
+    def __init__(self) -> None:
+        self._paths: dict[tuple[int, ...], AsPath] = {}
+        self._communities: dict[tuple, CommunitySet] = {}
+        self._community_values: dict[CommunitySet, CommunitySet] = {}
+        self._attributes: dict[tuple, PathAttributes] = {}
+        self._attribute_values: dict[PathAttributes, PathAttributes] = {}
+
+    def attributes(
+        self,
+        hops: tuple[int, ...],
+        next_hop: str,
+        standard: tuple[Community, ...] = (),
+        large: tuple[LargeCommunity, ...] = (),
+    ) -> PathAttributes:
+        """The attributes with this AS path, next hop and communities."""
+        key = (hops, next_hop, standard, large)
+        attributes = self._attributes.get(key)
+        if attributes is None:
+            built = PathAttributes(
+                as_path=self.as_path(hops),
+                next_hop=next_hop,
+                communities=self.communities(standard, large),
+            )
+            attributes = self._attribute_values.setdefault(built, built)
+            self._attributes[key] = attributes
+        return attributes
+
+    def as_path(self, hops: tuple[int, ...]) -> AsPath:
+        path = self._paths.get(hops)
+        if path is None:
+            path = self._paths[hops] = AsPath(hops)
+        return path
+
+    def communities(
+        self, standard: tuple[Community, ...], large: tuple[LargeCommunity, ...]
+    ) -> CommunitySet:
+        key = (standard, large)
+        communities = self._communities.get(key)
+        if communities is None:
+            built = CommunitySet(standard, large)
+            communities = self._community_values.setdefault(built, built)
+            self._communities[key] = communities
+        return communities

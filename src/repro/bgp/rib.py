@@ -105,10 +105,13 @@ class Rib:
         """Produce a table dump as a list of announcement messages.
 
         Entries are emitted in deterministic (peer, prefix) order so that
-        dumps are reproducible across runs.
+        dumps are reproducible across runs.  The key spells out the fields
+        ``Prefix`` orders by, so the sort compares tuples of builtins
+        instead of calling the dataclass-generated ``__lt__``.
         """
         entries = sorted(
-            self._routes.values(), key=lambda e: (e.peer_ip, e.prefix)
+            self._routes.values(),
+            key=lambda e: (e.peer_ip, e.prefix.family, e.prefix.network, e.prefix.length),
         )
         return [entry.to_update(self.collector, timestamp) for entry in entries]
 

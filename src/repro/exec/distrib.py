@@ -71,7 +71,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.exec.identity import digest, fingerprint
-from repro.exec.store import ArtifactStore, DiskStore, dump_artifact, reap_dead_staging
+from repro.exec.store import (
+    ArtifactStore,
+    DiskStore,
+    observation_payload_chunks,
+    reap_dead_staging,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.campaign import ScenarioCell, StudyCampaign
@@ -116,12 +121,14 @@ def observations_digest(observations: Sequence) -> str:
     Serialised through the store's ``observations`` wire format, so two
     processes agree on the digest exactly when the engine outcomes are
     bit-identical -- the distributed-vs-serial parity proof rides on it.
+    The payload is hashed piece by piece, never built whole.
     """
     if not observations:
-        payload = b"observations:empty"
-    else:
-        _, payload = dump_artifact(list(observations))
-    return hashlib.sha256(payload).hexdigest()[:32]
+        return hashlib.sha256(b"observations:empty").hexdigest()[:32]
+    hasher = hashlib.sha256()
+    for chunk in observation_payload_chunks(observations):
+        hasher.update(chunk)
+    return hasher.hexdigest()[:32]
 
 
 # --------------------------------------------------------------------------- #

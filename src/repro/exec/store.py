@@ -42,7 +42,7 @@ import shutil
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Protocol
+from typing import TYPE_CHECKING, Callable, Iterator, Protocol, Sequence
 
 from repro.bgp.community import Community, LargeCommunity, parse_community
 from repro.core.events import BlackholingObservation, DetectionMethod, EndCause
@@ -66,6 +66,7 @@ __all__ = [
     "Serializer",
     "dump_artifact",
     "load_artifact",
+    "observation_payload_chunks",
     "reap_dead_staging",
     "serializer_for",
 ]
@@ -186,32 +187,49 @@ def _is_observation_list(value: object) -> bool:
     )
 
 
+def _observation_row(o: BlackholingObservation) -> dict:
+    return {
+        "prefix": str(o.prefix),
+        "project": o.project,
+        "collector": o.collector,
+        "peer_ip": o.peer_ip,
+        "peer_as": o.peer_as,
+        "provider_key": o.provider_key,
+        "provider_asn": o.provider_asn,
+        "ixp_name": o.ixp_name,
+        "user_asn": o.user_asn,
+        "community": str(o.community),
+        "detection": o.detection.value,
+        "as_distance": o.as_distance,
+        "start_time": o.start_time,
+        "end_time": o.end_time,
+        "end_cause": None if o.end_cause is None else o.end_cause.value,
+        "from_table_dump": o.from_table_dump,
+    }
+
+
+#: Observations encoded per piece by :func:`observation_payload_chunks`.
+OBSERVATION_CHUNK = 1024
+
+
+def observation_payload_chunks(value: Sequence[BlackholingObservation]) -> Iterator[bytes]:
+    """The ``observations`` payload of ``value``, in pieces.
+
+    Joined, the pieces are exactly the bytes the store writes; hashing
+    them one by one never holds more than :data:`OBSERVATION_CHUNK`
+    encoded rows.
+    """
+    yield b'{"observations":['
+    for start in range(0, len(value), OBSERVATION_CHUNK):
+        rows = _json_bytes(
+            [_observation_row(o) for o in value[start : start + OBSERVATION_CHUNK]]
+        )[1:-1]
+        yield rows if start == 0 else b"," + rows
+    yield b"]}"
+
+
 def _dump_observations(value: list[BlackholingObservation]) -> bytes:
-    return _json_bytes(
-        {
-            "observations": [
-                {
-                    "prefix": str(o.prefix),
-                    "project": o.project,
-                    "collector": o.collector,
-                    "peer_ip": o.peer_ip,
-                    "peer_as": o.peer_as,
-                    "provider_key": o.provider_key,
-                    "provider_asn": o.provider_asn,
-                    "ixp_name": o.ixp_name,
-                    "user_asn": o.user_asn,
-                    "community": str(o.community),
-                    "detection": o.detection.value,
-                    "as_distance": o.as_distance,
-                    "start_time": o.start_time,
-                    "end_time": o.end_time,
-                    "end_cause": None if o.end_cause is None else o.end_cause.value,
-                    "from_table_dump": o.from_table_dump,
-                }
-                for o in value
-            ]
-        }
-    )
+    return b"".join(observation_payload_chunks(value))
 
 
 def _load_observations(data: bytes) -> list[BlackholingObservation]:

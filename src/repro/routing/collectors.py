@@ -21,8 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.bgp.attributes import AsPath, PathAttributes
-from repro.bgp.community import Community, CommunitySet
+from repro.bgp.attributes import AttributeTable, PathAttributes
 from repro.bgp.message import BgpUpdate
 from repro.bgp.rib import Rib
 from repro.routing.policy import RouteClass
@@ -215,14 +214,21 @@ class FeedBuilder:
 
     For every origin AS the Gao-Rexford propagation yields the best route of
     every other AS; a collector session then exports, per its feed type,
-    the routes its peer AS selected.
+    the routes its peer AS selected.  Exported attributes come from
+    ``attribute_table`` (a fresh :class:`AttributeTable` unless the caller
+    shares one), so equal routes share one attribute object.
     """
 
     def __init__(
-        self, topology: InternetTopology, propagator: RoutePropagator | None = None
+        self,
+        topology: InternetTopology,
+        propagator: RoutePropagator | None = None,
+        attribute_table: AttributeTable | None = None,
     ) -> None:
         self.topology = topology
         self.propagator = propagator or RoutePropagator(topology.graph)
+        self.attribute_table = AttributeTable() if attribute_table is None else attribute_table
+        self._route_attributes: dict[tuple[tuple[int, ...], int], PathAttributes] = {}
 
     # ------------------------------------------------------------------ #
     def _exports(self, peer_as: int, feed: str) -> list[tuple]:
@@ -247,17 +253,22 @@ class FeedBuilder:
         return exports
 
     def _attributes_for(self, path: tuple[int, ...], peer_as: int) -> PathAttributes:
-        """Attach the peer's informational communities to an exported route."""
-        communities: list[Community] = []
-        tags = self.topology.routing_communities.get(peer_as, [])
-        if tags:
+        """Attach the peer's informational communities to an exported route.
+
+        Memoised on ``(path, peer_as)``: every prefix of an origin, and
+        every collector session of the peer, exports the same route.
+        """
+        key = (path, peer_as)
+        attributes = self._route_attributes.get(key)
+        if attributes is None:
+            tags = self.topology.routing_communities.get(peer_as, [])
             # Deterministic pick: customer-learned vs peer-learned tagging.
-            communities.append(tags[len(path) % len(tags)])
-        return PathAttributes(
-            as_path=AsPath(path),
-            next_hop=_peer_ip_for(self.topology, peer_as, 0),
-            communities=CommunitySet(communities),
-        )
+            communities = (tags[len(path) % len(tags)],) if tags else ()
+            attributes = self.attribute_table.attributes(
+                path, _peer_ip_for(self.topology, peer_as, 0), communities
+            )
+            self._route_attributes[key] = attributes
+        return attributes
 
     def build_rib(
         self, collector: Collector, timestamp: float

@@ -24,8 +24,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.bgp.attributes import AsPath, PathAttributes
-from repro.bgp.community import Community, CommunitySet, LargeCommunity
+from repro.bgp.attributes import AttributeTable, PathAttributes
+from repro.bgp.community import Community, LargeCommunity
 from repro.bgp.message import BgpMessage, BgpUpdate, BgpWithdrawal
 from repro.routing.collectors import CollectorPlatform, PeerSession
 from repro.routing.propagation import bounded_flood
@@ -51,11 +51,17 @@ class SyntheticObservation:
 
 @dataclass
 class ObservationSynthesizer:
-    """Turns ground-truth requests into per-collector BGP messages."""
+    """Turns ground-truth requests into per-collector BGP messages.
+
+    Message attributes come from ``attribute_table``, so messages with equal
+    attributes share one object.  Each lookup follows the message's random
+    draws, so sharing leaves the seeded stream unchanged.
+    """
 
     topology: InternetTopology
     platforms: list[CollectorPlatform]
     config: ScenarioConfig
+    attribute_table: AttributeTable = field(default_factory=AttributeTable)
     rng: random.Random = field(init=False)
 
     def __post_init__(self) -> None:
@@ -309,18 +315,16 @@ class ObservationSynthesizer:
     ) -> list[BgpMessage]:
         session = observation.session
         jitter = self.rng.uniform(0.0, 5.0)
-        standard = [c for c in observation.communities if isinstance(c, Community)]
-        large = [c for c in observation.communities if isinstance(c, LargeCommunity)]
+        standard = tuple(c for c in observation.communities if isinstance(c, Community))
+        large = tuple(c for c in observation.communities if isinstance(c, LargeCommunity))
         announce = BgpUpdate(
             timestamp=start + jitter,
             collector=observation.collector,
             peer_ip=session.peer_ip,
             peer_as=session.peer_as,
             prefix=request.prefix,
-            attributes=PathAttributes(
-                as_path=AsPath(observation.as_path),
-                next_hop=observation.next_hop,
-                communities=CommunitySet(standard, large),
+            attributes=self.attribute_table.attributes(
+                observation.as_path, observation.next_hop, standard, large
             ),
         )
         messages: list[BgpMessage] = [announce]
@@ -348,10 +352,8 @@ class ObservationSynthesizer:
                     peer_ip=session.peer_ip,
                     peer_as=session.peer_as,
                     prefix=request.prefix,
-                    attributes=PathAttributes(
-                        as_path=AsPath(observation.as_path),
-                        next_hop=session.peer_ip,
-                        communities=CommunitySet(plain[:1]),
+                    attributes=self.attribute_table.attributes(
+                        observation.as_path, session.peer_ip, tuple(plain[:1])
                     ),
                 )
             )
@@ -379,23 +381,29 @@ class ObservationSynthesizer:
             return
         per_day = self.config.background_updates_per_day
         total = int(per_day * days * len(self.platforms))
+        # A session's churn always carries the same attributes; the memo
+        # skips the table's community-keyed lookup on every repeat.
+        session_attributes: dict[tuple[str, int], PathAttributes] = {}
         for _ in range(total):
             project, collector, session = self.rng.choice(all_sessions)
             peer = self.topology.ases.get(session.peer_as)
             if peer is None or not peer.prefixes:
                 continue
             prefix = self.rng.choice(peer.prefixes)
-            communities = self.topology.routing_communities.get(session.peer_as, [])
             timestamp = self.rng.uniform(start, end)
+            key = (session.peer_ip, session.peer_as)
+            attributes = session_attributes.get(key)
+            if attributes is None:
+                communities = self.topology.routing_communities.get(session.peer_as, [])
+                attributes = self.attribute_table.attributes(
+                    (session.peer_as,), session.peer_ip, tuple(communities[:2])
+                )
+                session_attributes[key] = attributes
             yield BgpUpdate(
                 timestamp=timestamp,
                 collector=collector,
                 peer_ip=session.peer_ip,
                 peer_as=session.peer_as,
                 prefix=prefix,
-                attributes=PathAttributes(
-                    as_path=AsPath((session.peer_as,)),
-                    next_hop=session.peer_ip,
-                    communities=CommunitySet(communities[:2]),
-                ),
+                attributes=attributes,
             )

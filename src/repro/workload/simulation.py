@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.attacks.timeline import AttackTimeline, generate_timeline
+from repro.bgp.attributes import AttributeTable
 from repro.bgp.message import BgpMessage, BgpUpdate
 from repro.bgp.rib import Rib
 from repro.gcpause import paused_gc
@@ -120,7 +121,11 @@ class ScenarioSimulator:
         corpus = build_corpus(topology, seed=config.seed)
         platforms = build_default_platforms(topology, seed=config.seed)
         propagator = RoutePropagator(topology.graph)
-        feed_builder = FeedBuilder(topology, propagator)
+        # One attribute table for the whole generation: the dumps and the
+        # update stream share every equal AS path, community set and
+        # attribute set.  The table itself dies when this call returns.
+        attribute_table = AttributeTable()
+        feed_builder = FeedBuilder(topology, propagator, attribute_table)
         ribs = feed_builder.build_all_ribs(platforms, timestamp=start)
 
         timeline = generate_timeline(
@@ -131,7 +136,7 @@ class ScenarioSimulator:
         for event in timeline.events:
             requests.extend(behavior.requests_for_event(event))
 
-        synthesizer = ObservationSynthesizer(topology, platforms, config)
+        synthesizer = ObservationSynthesizer(topology, platforms, config, attribute_table)
         updates_by_collector: dict[str, list[BgpMessage]] = defaultdict(list)
         message_count = 0
         for message in self._window_messages(synthesizer, requests, ribs, start, end):
@@ -196,10 +201,8 @@ class ScenarioSimulator:
                         project=platform.project,
                         collector=collector.name,
                         rib=ribs.get(collector.name),
-                        updates=sorted(
-                            updates_by_collector.get(collector.name, []),
-                            key=lambda m: m.timestamp,
-                        ),
+                        # The source sorts them by timestamp (stably).
+                        updates=updates_by_collector.get(collector.name, ()),
                     )
                 )
         return sources

@@ -53,10 +53,13 @@ class TestRib:
         rib = Rib("rrc00")
         rib.apply(_update("192.0.2.0/24", peer_ip="10.0.0.2", peer_as=200))
         rib.apply(_update("198.51.100.0/24", peer_ip="10.0.0.1", peer_as=100))
+        # Same network at two lengths, and both families, under one peer.
+        for prefix in ("2001:db8::/32", "10.0.0.0/16", "10.0.0.0/8", "9.0.0.0/8"):
+            rib.apply(_update(prefix, peer_ip="10.0.0.1", peer_as=100))
         dump = rib.dump()
-        assert [str(u.prefix) for u in dump] == [
-            str(u.prefix) for u in sorted(dump, key=lambda u: (u.peer_ip, u.prefix))
-        ]
+        assert [(u.peer_ip, u.prefix) for u in dump] == sorted(
+            (u.peer_ip, u.prefix) for u in dump
+        )
         rebuilt = Rib("rrc00")
         rebuilt.apply_all(dump)
         assert rebuilt.prefixes() == rib.prefixes()

@@ -26,6 +26,7 @@ Covers the acceptance properties of the distributed campaign layer:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import os
@@ -38,7 +39,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.bgp.community import Community
 from repro.cli import main
+from repro.core.events import BlackholingObservation, DetectionMethod, EndCause
 from repro.exec.campaign import (
     BASELINE,
     INFERRED_DICTIONARY,
@@ -53,7 +56,8 @@ from repro.exec.distrib import (
     reap_stale_queue_state,
     run_worker,
 )
-from repro.exec.store import DiskStore
+from repro.exec.store import OBSERVATION_CHUNK, DiskStore, dump_artifact
+from repro.netutils.prefixes import Prefix
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FORK = multiprocessing.get_context("fork")
@@ -111,6 +115,67 @@ def serial_digests(small_dataset):
         cell.label: observations_digest(result.observations)
         for cell, result in results.items()
     }
+
+
+def _whole_payload_digest(observations) -> str:
+    return hashlib.sha256(dump_artifact(list(observations))[1]).hexdigest()[:32]
+
+
+class TestObservationsDigest:
+    """The streamed digest hashes exactly the store's observations payload."""
+
+    ENDED = BlackholingObservation(
+        prefix=Prefix.from_string("192.0.2.1/32"),
+        project="ris",
+        collector="rrc00",
+        peer_ip="10.0.0.1",
+        peer_as=64499,
+        provider_key="AS64500",
+        provider_asn=64500,
+        ixp_name=None,
+        user_asn=64510,
+        community=Community(64500, 666),
+        detection=DetectionMethod.ON_PATH,
+        as_distance=1,
+        start_time=100.0,
+        end_time=200.5,
+        end_cause=EndCause.EXPLICIT_WITHDRAWAL,
+    )
+    ACTIVE = BlackholingObservation(
+        prefix=Prefix.from_string("198.51.100.0/24"),
+        project="pch",
+        collector="pch-test",
+        peer_ip="10.0.0.2",
+        peer_as=64498,
+        provider_key="TEST-IX",
+        provider_asn=None,
+        ixp_name="TEST-IX",
+        user_asn=None,
+        community=Community(65535, 666),
+        detection=DetectionMethod.IXP_ROUTE_SERVER,
+        as_distance=None,
+        start_time=150.25,
+        from_table_dump=True,
+    )
+
+    def test_equals_whole_payload_hash(self):
+        pair = [self.ENDED, self.ACTIVE]
+        assert observations_digest(pair) == _whole_payload_digest(pair)
+        # Lengths around the chunk size hit every seam between pieces.
+        for length in (1, OBSERVATION_CHUNK, OBSERVATION_CHUNK + 1, 2 * OBSERVATION_CHUNK + 3):
+            observations = [
+                dataclasses.replace(pair[i % 2], start_time=float(i)) for i in range(length)
+            ]
+            assert observations_digest(observations) == _whole_payload_digest(observations)
+
+    def test_study_observations(self, study_result):
+        observations = study_result.observations
+        assert observations
+        assert observations_digest(observations) == _whole_payload_digest(observations)
+
+    def test_empty_list_keeps_its_digest(self):
+        expected = hashlib.sha256(b"observations:empty").hexdigest()[:32]
+        assert observations_digest([]) == expected
 
 
 # --------------------------------------------------------------------------- #

@@ -1,5 +1,7 @@
 """Tests for operator behaviour, observation synthesis and scenario simulation."""
 
+import dataclasses
+import hashlib
 from collections import defaultdict
 
 from repro.attacks.timeline import AttackEvent, DurationRegime
@@ -190,3 +192,72 @@ class TestScenarioSimulation:
         assert set(peer_asns) == small_dataset.projects()
         ixps = small_dataset.collector_ixps()
         assert "pch" in ixps and ixps["pch"]
+
+
+def _messages(dataset):
+    """Every dump and update message of a dataset, in source order."""
+    for source in dataset.sources:
+        for part, messages in (("dump", source._dump), ("updates", source._updates)):
+            for message in messages:
+                yield part, message
+
+
+def _attribute_objects(dataset):
+    """(attributes, AS path, community set) of every announcement and RIB entry."""
+    attributes = [m.attributes for _, m in _messages(dataset) if isinstance(m, BgpUpdate)]
+    attributes += [entry.attributes for rib in dataset.ribs.values() for entry in rib]
+    for value in attributes:
+        yield value, value.as_path, value.communities
+
+
+class TestAttributeSharing:
+    """Generation interns attributes: one object per distinct value."""
+
+    def test_one_object_per_distinct_value(self, small_dataset):
+        canonical: list[dict] = [{}, {}, {}]
+        for objects in _attribute_objects(small_dataset):
+            for table, value in zip(canonical, objects):
+                assert table.setdefault(value, value) is value
+        distinct_attributes, distinct_paths, distinct_sets = map(len, canonical)
+        announcements = sum(
+            isinstance(m, BgpUpdate) for _, m in _messages(small_dataset)
+        )
+        assert 0 < distinct_attributes < announcements
+        assert distinct_paths > 1 and distinct_sets > 1
+
+    def test_generations_share_no_attribute_object(self):
+        config = ScenarioConfig.small(seed=5)
+        left = ScenarioSimulator(config).generate()
+        right = ScenarioSimulator(config).generate()
+        left_ids = {id(o) for objects in _attribute_objects(left) for o in objects}
+        right_ids = {id(o) for objects in _attribute_objects(right) for o in objects}
+        assert left_ids and right_ids
+        assert not left_ids & right_ids
+        assert [m for _, m in _messages(left)] == [m for _, m in _messages(right)]
+
+    def test_message_stream_is_unchanged(self):
+        """Every field of every message, pinned from before attributes were shared.
+
+        Interning happens after a message's random draws, so the seeded
+        stream -- timestamps, peers, prefixes, paths, communities -- must
+        hash exactly as it did when each message built its own attributes.
+        """
+        config = dataclasses.replace(
+            ScenarioConfig.small(seed=5), background_updates_per_day=60.0
+        )
+        dataset = ScenarioSimulator(config).generate()
+        digest = hashlib.sha256()
+        kinds = defaultdict(int)
+        for part, m in _messages(dataset):
+            kinds[type(m).__name__] += 1
+            fields = [part, type(m).__name__, repr(m.timestamp), m.collector, m.peer_ip,
+                      m.peer_as, str(m.prefix)]
+            if isinstance(m, BgpUpdate):
+                a = m.attributes
+                fields += [int(a.origin), a.as_path.hops, a.next_hop, a.med, a.local_pref,
+                           a.atomic_aggregate, a.aggregator, a.communities.to_strings()]
+            digest.update(repr(fields).encode() + b"\n")
+        assert kinds["BgpUpdate"] > 0 and kinds["BgpWithdrawal"] > 0
+        assert digest.hexdigest() == (
+            "21e9cc5cab225e9a47e0bbe85a184f201ce9707cba2a7314c17a8e9cd970a693"
+        )
